@@ -9,12 +9,11 @@ a (2k)-cycle of Frobenius; collecting the classes {2, 4, 2n-2, 2n}
 (as a set of distinct values) certifies the full wreath product.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import itertools
+import math
 
 import numpy as np
-import sympy
-
-_x = sympy.Symbol("x")
 
 
 def primes_upto(bound):
@@ -26,26 +25,122 @@ def primes_upto(bound):
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
+def _is_odd_prime(ell):
+    return ell > 2 and ell % 2 == 1 and all(
+        ell % d for d in range(3, math.isqrt(ell) + 1, 2))
+
+
 @dataclass(frozen=True)
 class CycleType:
     degrees: tuple  # sorted multiset of irreducible factor degrees
     squarefree: bool
 
 
+# Polynomials over F_p are lists of coefficients in range(p), lowest
+# degree first, with no trailing zeros; [] is the zero polynomial.
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b."""
+    a, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = q[i - db] = a[i] * inv % p
+        if c:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return q, _trim(a[:db])
+
+
+def _monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _monic_gcd(a, b, p):
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return _divmod([c % p for c in prod], f, p)[1]
+
+
+def _squarefree_parts(f, p):
+    """
+    Squarefree decomposition of a monic f: pairs (g, m) with f the
+    product of the g^m and every g squarefree (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 14).
+    """
+    deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
+    c = _monic_gcd(f, deriv, p)  # f itself when f' = 0
+    w = _divmod(f, c, p)[0]
+    parts, m = [], 1
+    while len(w) > 1:
+        y = _monic_gcd(w, c, p)
+        if len(y) < len(w):
+            parts.append((_divmod(w, y, p)[0], m))
+        w, c, m = y, _divmod(c, y, p)[0], m + 1
+    if len(c) > 1:
+        # what is left is g(x^p) = g(x)^p over F_p
+        parts += [(g, m * p) for g, m in _squarefree_parts(c[::p], p)]
+    return parts
+
+
+def _distinct_degrees(f, p):
+    """
+    Irreducible factor degrees of a squarefree monic f: the degree-d
+    factors multiply to gcd(f, x^(p^d) - x) once those of lower degree
+    are divided out (Modern Computer Algebra, section 14.2).
+    """
+    degrees, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        frob = [1]  # h^p mod f by square-and-multiply
+        for bit in bin(p)[2:]:
+            frob = _mulmod(frob, frob, f, p)
+            if bit == "1":
+                frob = _mulmod(frob, h, f, p)
+        h = frob
+        h_minus_x = h + [0] * (2 - len(h))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        g = _monic_gcd(f, _trim(h_minus_x), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
 def factor_type(coeffs, ell):
     """
     Factorization type of a monic integer polynomial mod an odd prime:
     sorted factor degrees with multiplicity, plus a squarefree flag
-    (gcd(f, f') = 1).  Only degrees are computed.
+    (gcd(f, f') = 1).  Only degrees are computed: a squarefree
+    decomposition, then distinct-degree factorization of each part.
     """
-    if ell == 2 or not sympy.isprime(ell):
+    if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
-    f = sympy.Poly([c % ell for c in coeffs], _x, modulus=ell)
-    squarefree = sympy.gcd(f, f.diff(_x)).degree() == 0
-    degrees = []
-    for factor, mult in f.factor_list()[1]:
-        degrees.extend([factor.degree()] * mult)
-    return CycleType(degrees=tuple(sorted(degrees)), squarefree=squarefree)
+    f = _trim([int(c) % ell for c in reversed(coeffs)])
+    if not f:
+        return CycleType(degrees=(), squarefree=False)
+    parts = _squarefree_parts(_monic(f, ell), ell)
+    degrees = [d for g, m in parts for d in _distinct_degrees(g, ell) * m]
+    return CycleType(degrees=tuple(sorted(degrees)),
+                     squarefree=all(m == 1 for _, m in parts))
 
 
 def _witness_class(ctype, two_n):
@@ -61,7 +156,9 @@ def _witness_class(ctype, two_n):
 
 def _integer_factorization(coeffs):
     """Nontrivial monic integer factorization, or None if irreducible."""
-    f = sympy.Poly(coeffs, _x, domain="ZZ")
+    import sympy  # only factorization over Z needs it
+    x = sympy.Symbol("x")
+    f = sympy.Poly(coeffs, x, domain="ZZ")
     content, factors = f.factor_list()
     if len(factors) == 1 and factors[0][1] == 1:
         return None
@@ -69,9 +166,9 @@ def _integer_factorization(coeffs):
     for poly, mult in factors:
         parts.extend([tuple(int(c) for c in poly.all_coeffs())] * mult)
     # multiply-back verification, exact
-    prod = sympy.Poly([int(content)], _x, domain="ZZ")
+    prod = sympy.Poly([int(content)], x, domain="ZZ")
     for p in parts:
-        prod = prod * sympy.Poly(list(p), _x, domain="ZZ")
+        prod = prod * sympy.Poly(list(p), x, domain="ZZ")
     assert prod == f, "integer factorization failed to multiply back"
     return tuple(parts)
 
@@ -94,7 +191,9 @@ def required_classes(n):
 def certify_wreath(coeffs, prime_bound=200):
     """
     Scans odd primes up to prime_bound, collecting cycle-class witnesses
-    from squarefree reductions of a monic reciprocal polynomial.
+    from squarefree reductions of a monic reciprocal polynomial.  Only
+    when no prime witnesses irreducibility does it factor over Z; a
+    reducible input is "contradicted" with no primes reported.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
@@ -102,12 +201,7 @@ def certify_wreath(coeffs, prime_bound=200):
         raise ValueError("degree must be even and at least 2")
     if coeffs != coeffs[::-1]:
         raise ValueError("polynomial must be reciprocal")
-    n = deg // 2
-    zfac = _integer_factorization(coeffs)
-    if zfac is not None:
-        return GaloisCertificate(verdict="contradicted", primes_scanned=(),
-                                 witnesses={}, factorization=zfac)
-    need = required_classes(n)
+    need = required_classes(deg // 2)
     witnesses = {}
     scanned = []
     for ell in primes_upto(prime_bound):
@@ -123,9 +217,14 @@ def certify_wreath(coeffs, prime_bound=200):
                                      primes_scanned=tuple(scanned),
                                      witnesses=witnesses)
     if deg in witnesses:
+        # a monic polynomial irreducible mod ell is irreducible over Z
         return GaloisCertificate(verdict="certified_irreducible_only",
                                  primes_scanned=tuple(scanned),
                                  witnesses=witnesses)
+    zfac = _integer_factorization(coeffs)
+    if zfac is not None:
+        return GaloisCertificate(verdict="contradicted", primes_scanned=(),
+                                 witnesses={}, factorization=zfac)
     return GaloisCertificate(verdict="undetermined",
                              primes_scanned=tuple(scanned),
                              witnesses=witnesses)
@@ -137,13 +236,12 @@ def reciprocal_census(ell, n):
     F_ell, classifying each; returns {"total": ell^n, "classes": {2k:
     {"count", "main_term", "abs_error"}}, "other": remainder}.
     """
-    if not sympy.isprime(ell) or ell == 2:
+    if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
     if ell ** n > 10 ** 7:
         raise ValueError("census guard exceeded (ell^n > 1e7)")
     counts = {2 * k: 0 for k in range(1, n + 1)}
     total = 0
-    import itertools
     for free in itertools.product(range(ell), repeat=n):
         # palindromic coefficient vector [1, a1, ..., an, ..., a1, 1]
         coeffs = [1] + list(free) + list(reversed(free[:-1])) + [1]
@@ -154,7 +252,7 @@ def reciprocal_census(ell, n):
     classes = {}
     for k in range(1, n + 1):
         main = ell ** n / (2 ** (n - k + 1) * k *
-                           sympy.factorial(n - k))
+                           math.factorial(n - k))
         classes[2 * k] = {
             "count": counts[2 * k],
             "main_term": float(main),
@@ -178,22 +276,16 @@ def power_scan(A, m_max, prime_bound=200):
     Am = A
     for m in range(1, m_max + 1):
         coeffs = list(char_poly(Am).coeffs)
-        zfac = _integer_factorization(coeffs)
+        witness = next((ell for ell in primes_upto(prime_bound) if ell > 2
+                        and factor_type(coeffs, ell).degrees
+                        == (len(coeffs) - 1,)), None)
+        zfac = None if witness else _integer_factorization(coeffs)
         if zfac is not None:
-            verdict = "reducible"
             if k0 is None:
                 k0 = m
             results.append({"m": m, "coeffs": tuple(coeffs),
-                            "verdict": verdict, "factorization": zfac})
+                            "verdict": "reducible", "factorization": zfac})
         else:
-            witness = None
-            for ell in primes_upto(prime_bound):
-                if ell == 2:
-                    continue
-                ctype = factor_type(coeffs, ell)
-                if ctype.squarefree and ctype.degrees == (len(coeffs) - 1,):
-                    witness = ell
-                    break
             verdict = "irreducible" if witness else "undetermined"
             results.append({"m": m, "coeffs": tuple(coeffs),
                             "verdict": verdict, "witness": witness})
@@ -207,7 +299,7 @@ def sl2_census(ell):
     count for every trace t is within 2*ell of ell^2 and totals
     |SL(2, F_ell)| = ell^3 - ell.
     """
-    if not sympy.isprime(ell) or ell == 2:
+    if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
     if ell > 31:
         raise ValueError("census guard exceeded (ell > 31)")
@@ -230,7 +322,6 @@ def _interleave(block_matrix, n):
 
 def _shear_pool(n):
     """All nonzero symmetric n x n 0/1 matrices."""
-    import itertools
     pool = []
     positions = [(i, j) for i in range(n) for j in range(i, n)]
     for bits in itertools.product((0, 1), repeat=len(positions)):

@@ -7,7 +7,7 @@ the orthonormal basis e_j, j in Z_N^n, stored row-major.  Only theta = 0
 is supported on the exact-matrix paths.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 

@@ -326,7 +326,9 @@ class ScarEnsemble:
         j = (int(j[0]), int(j[1]))
         if j not in self._dmats:
             U = LatticeTranslation(self.space, j)
-            UV = np.stack([U.apply_array(v) for v in self.V])
+            UV = np.empty_like(self.V)  # filled in place: one P x N copy
+            for i, v in enumerate(self.V):
+                UV[i] = U.apply_array(v)
             self._dmats[j] = UV @ self.V.conj().T
         return self._dmats[j]
 

@@ -14,7 +14,6 @@ from itertools import product
 import math
 
 import numpy as np
-import sympy
 
 
 def _as_object_array(entries):
@@ -53,10 +52,9 @@ class SymplecticMatrix:
         M = _as_object_array(self.entries)
         object.__setattr__(self, "entries",
                            tuple(tuple(int(v) for v in row) for row in M))
+        # A^T J A = J already forces det A = 1 (the Pfaffian identity)
         if not is_symplectic(M):
             raise ValueError("matrix is not symplectic")
-        if sympy.Matrix(M.tolist()).det() != 1:
-            raise ValueError("matrix must have determinant 1")
 
     @property
     def n(self):
@@ -104,10 +102,19 @@ class CharPoly:
 
 
 def char_poly(A):
-    """Exact characteristic polynomial of a SymplecticMatrix."""
-    x = sympy.Symbol("x")
-    p = sympy.Matrix([list(r) for r in A.entries]).charpoly(x)
-    coeffs = tuple(int(c) for c in p.all_coeffs())
+    """
+    Exact characteristic polynomial sum_k c_k x^(2n-k) of a
+    SymplecticMatrix by Faddeev-LeVerrier: c_0 = 1, M_0 = 0,
+    M_k = A M_{k-1} + c_{k-1} I and c_k = -tr(A M_k) / k, where every
+    division is exact over Z.
+    """
+    a = A.array()
+    I = np.eye(len(a), dtype=object)
+    M, coeffs = 0 * I, [1]
+    for k in range(1, len(a) + 1):
+        M = a @ M + coeffs[-1] * I
+        coeffs.append(-int(np.trace(a @ M)) // k)
+    coeffs = tuple(coeffs)
     return CharPoly(coeffs, coeffs == coeffs[::-1])
 
 

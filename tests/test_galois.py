@@ -1,9 +1,20 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from catlab import (SymplecticMatrix, certify_wreath, char_poly, factor_type,
-                    power_scan, reciprocal_census, sample_sp, sl2_census)
+import catlab
+from catlab import (CycleType, SymplecticMatrix, certify_wreath, char_poly,
+                    factor_type, power_scan, reciprocal_census, sample_sp,
+                    sl2_census)
 from catlab.galois import primes_upto, required_classes
+
+ODD_PRIMES = primes_upto(200)[1:]
 
 
 def test_primes_upto():
@@ -19,6 +30,57 @@ def test_factor_type_basic():
     assert t.degrees == (2,) and t.squarefree
     with pytest.raises(ValueError):
         factor_type([1, 0, 1], 2)
+
+
+def _sympy_factor_type(coeffs, ell):
+    """Reference: degrees with multiplicity and the gcd(f, f') = 1 flag."""
+    x = sympy.Symbol("x")
+    f = sympy.Poly([c % ell for c in coeffs], x, modulus=ell)
+    degrees = []
+    for g, mult in f.factor_list()[1]:
+        degrees += [g.degree()] * mult
+    return tuple(sorted(degrees)), sympy.gcd(f, f.diff(x)).degree() == 0
+
+
+def _assert_matches_sympy(coeffs, ell):
+    t = factor_type(coeffs, ell)
+    assert (t.degrees, t.squarefree) == _sympy_factor_type(coeffs, ell), \
+        (coeffs, ell)
+
+
+def test_factor_type_matches_sympy_on_census_sets():
+    for ell in (3, 5, 7, 11, 13):
+        for n in (1, 2, 3):
+            if ell ** n > 3000:
+                continue
+            for free in itertools.product(range(ell), repeat=n):
+                coeffs = [1] + list(free) + list(reversed(free[:-1])) + [1]
+                _assert_matches_sympy(coeffs, ell)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       st.sampled_from(ODD_PRIMES))
+@settings(max_examples=300, deadline=None)
+def test_factor_type_matches_sympy_on_random_monic(tail, ell):
+    _assert_matches_sympy([1] + tail, ell)
+
+
+def test_factor_type_pth_powers():
+    # f' = 0 mod ell: f = g(x^ell) = g(x)^ell
+    cases = [([1, 0, 0, 1], 3, (1, 1, 1)),                    # (x + 1)^3
+             ([1, 0, 0, 2, 0, 0, 1], 3, (1,) * 6),            # (x + 1)^6
+             ([1, 0, 0, 0, 0, 0, 1], 3, (2, 2, 2)),           # (x^2 + 1)^3
+             ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 5, (2,) * 5)]  # (x^2+x+1)^5
+    for coeffs, ell, degrees in cases:
+        assert factor_type(coeffs, ell) == CycleType(degrees, False)
+        _assert_matches_sympy(coeffs, ell)
+
+
+def test_import_catlab_leaves_sympy_unloaded():
+    src = os.path.dirname(os.path.dirname(catlab.__file__))
+    code = "import sys, catlab; assert 'sympy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_required_classes():

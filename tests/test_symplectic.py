@@ -20,8 +20,24 @@ def test_is_symplectic_examples():
 
 
 def test_constructor_rejects_non_symplectic():
-    with pytest.raises(ValueError):
-        SymplecticMatrix([[2, 0], [0, 1]])
+    # det 1 but not symplectic: x2 += x1 with no compensating xi1 -= xi2
+    shear = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]
+    for entries in ([[2, 0], [0, 1]], shear, [[1, 0], [0, -1]],
+                    [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError):
+            SymplecticMatrix(entries)
+
+
+def test_char_poly_matches_sympy_on_sampled_matrices():
+    import sympy
+    from catlab import sample_sp
+    x = sympy.Symbol("x")
+    for n in (1, 2, 3):
+        for A in sample_sp(n, 12, 10, seed=n):
+            for M in (A, A.power(3)):
+                ref = sympy.Matrix([list(r) for r in M.entries]).charpoly(x)
+                assert char_poly(M).coeffs == tuple(
+                    int(c) for c in ref.all_coeffs())
 
 
 def test_inverse_and_products_stay_symplectic():
