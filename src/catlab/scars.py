@@ -276,6 +276,10 @@ def make_scar_config(B, k):
                       lam=leading_eigenvalue(B))
 
 
+# Rows of U V per block in ScarEnsemble._dmat.
+_DMAT_ROWS = 8
+
+
 class ScarEnsemble:
     """Factored representation of u = P^{-1/2} sum_t v_t (x) w_t."""
 
@@ -284,19 +288,20 @@ class ScarEnsemble:
         N, P, phi = config.N, config.P, config.phi
         self.space = StateSpace(1, N)
         M = metaplectic_sl2(self.space, config.B)
-        g = np.empty((P, N), dtype=np.complex128)
-        g[0] = hilbert.project_gaussian(self.space).coeffs
-        for s in range(1, P):
-            g[s] = M.apply_array(g[s - 1])
-        # V[i] = v_{i - P/2} for i = 0..P-1; negative times use
-        # M^t = e^{-i phi} M^{t+P}.
-        V = np.empty_like(g)
-        for i in range(P):
+        # V[i] = v_{i - P/2} for i = 0..P-1, written as the orbit g_s =
+        # M^s G_N is generated; negative times use M^t = e^{-i phi} M^{t+P}.
+        # Only V is held, one P x N array.
+        V = np.empty((P, N), dtype=np.complex128)
+        g = hilbert.project_gaussian(self.space).coeffs
+        for s in range(P):
+            if s > 0:
+                g = M.apply_array(g)
+            i = (s + P // 2) % P
             t = i - P // 2
             if t >= 0:
-                V[i] = np.exp(-1j * phi * t / P) * g[t]
+                V[i] = np.exp(-1j * phi * t / P) * g
             else:
-                V[i] = np.exp(-1j * phi * t / P - 1j * phi) * g[t + P]
+                V[i] = np.exp(-1j * phi * t / P - 1j * phi) * g
         self.V = V
         # w_{i - P/2} = v at index (i + P/2) mod P
         self.wperm = (np.arange(P) + P // 2) % P
@@ -326,10 +331,17 @@ class ScarEnsemble:
         j = (int(j[0]), int(j[1]))
         if j not in self._dmats:
             U = LatticeTranslation(self.space, j)
-            UV = np.empty_like(self.V)  # filled in place: one P x N copy
-            for i, v in enumerate(self.V):
-                UV[i] = U.apply_array(v)
-            self._dmats[j] = UV @ self.V.conj().T
+            V, P, N = self.V, self.P, self.N
+            # conj(D) = conj(U V) @ V^T, in blocks of _DMAT_ROWS rows of
+            # U V, so that neither U V nor conj(V) is held as a P x N copy.
+            D = np.empty((P, P), dtype=np.complex128)
+            block = np.empty((min(P, _DMAT_ROWS), N), dtype=np.complex128)
+            for lo in range(0, P, _DMAT_ROWS):
+                rows = block[:min(_DMAT_ROWS, P - lo)]
+                for r, v in enumerate(V[lo:lo + len(rows)]):
+                    np.conj(U.apply_array(v), out=rows[r])
+                np.conj(rows @ V.T, out=D[lo:lo + len(rows)])
+            self._dmats[j] = D
         return self._dmats[j]
 
     def matrix_element(self, j, k):

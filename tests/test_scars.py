@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ def test_factored_matches_materialized(scar6):
         U = LatticeTranslation(sp2, (j[0], j[1], k[0], k[1]))
         dense_me = complex(np.vdot(u.coeffs, U.apply_array(u.coeffs)))
         assert abs(scar6.matrix_element(j, k) - dense_me) < 1e-10
+
+
+def test_ensemble_holds_one_orbit_array(scar12):
+    # Building the ensemble and its matrix elements allocates at most the
+    # P x N array V plus row blocks and length-N FFT work arrays: no
+    # second orbit array, no P x N copy of U V or conj(V).
+    tracemalloc.start()
+    try:
+        scar = build_scar(scar12.config)
+        me = scar.matrix_element((1, 2), (0, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(me - scar12.matrix_element((1, 2), (0, -1))) < 1e-12
+    assert peak < 1.5 * scar.V.nbytes
 
 
 def test_scar_is_tensor_eigenfunction(scar6, tensor144):
