@@ -374,15 +374,26 @@ def main(argv=None):
         args.fn(args)
         return 0
     except (ValueError, OverflowError) as exc:
-        write_json(_out_path(args, "json"),
-                   {"error": str(exc), "kind": "precondition"})
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (AssertionError, RuntimeError, ArithmeticError) as exc:
-        write_json(_out_path(args, "json"),
-                   {"error": str(exc), "kind": "invariant"})
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
+        return _fail(args, exc, "precondition", 2)
+    except OSError as exc:
+        # Subcommands read nothing from disk, so this is the write into
+        # --out failing: report it on stderr only.
+        return _fail(args, exc, "precondition", 2, write_out=False)
+    except (AssertionError, RuntimeError, ArithmeticError,
+            MemoryError) as exc:
+        return _fail(args, exc, "invariant", 3)
+
+
+def _fail(args, exc, kind, code, write_out=True):
+    """Emits the JSON diagnostic to --out (when writable) and stderr."""
+    diag = {"error": str(exc) or type(exc).__name__, "kind": kind}
+    if write_out:
+        try:
+            write_json(_out_path(args, "json"), diag)
+        except OSError:
+            pass
+    print(json.dumps(diag), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -69,6 +69,44 @@ def test_invariant_errors_exit_three(tmp_path, monkeypatch):
     assert out["kind"] == "invariant"
 
 
+def test_memory_error_exits_three(tmp_path, monkeypatch, capsys):
+    import catlab.scars
+    def boom(*a, **k):
+        raise MemoryError("Unable to allocate 35.8 GiB")
+    monkeypatch.setattr(catlab.scars, "make_scar_config", boom)
+    rc = main(["scar-build", "--matrix", CAT, "--k", "24",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    out = read_json(tmp_path / "scar-build-0.json")
+    assert out == {"error": "Unable to allocate 35.8 GiB", "kind": "invariant"}
+    assert json.loads(capsys.readouterr().err) == out
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    rc = main(["check-matrix", "--matrix", CAT,
+               "--out", str(blocker / "sub")])
+    assert rc == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["kind"] == "precondition"
+    assert "Not a directory" in diag["error"]
+    assert blocker.read_text() == "x"
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_quadrature_cap_exits_three(tmp_path, monkeypatch, capsys):
+    import catlab.scars
+    monkeypatch.setattr(catlab.scars, "QUADRATURE_MAX_POINTS", 1000)
+    rc = main(["overlap-test", "--matrix", CAT, "--count", "1",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "overlap quadrature failed to converge",
+                    "kind": "invariant"}
+    assert read_json(tmp_path / "overlap-test-0.json") == diag
+
+
 def test_scar_build(tmp_path):
     assert main(["scar-build", "--matrix", CAT, "--k", "6",
                  "--out", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import catlab.scars
 from catlab import (S1, build_scar, gaussian_autocorrelation,
                     lattice_overlap_sum, make_scar_config, metaplectic_sl2,
                     overlap_closed_form, overlap_quadrature,
@@ -32,15 +33,77 @@ def test_S1_value_and_series_consistency():
     assert abs(S1(LAM) - 3.2647) < 1e-4
 
 
+# Symmetric positive-entry matrices with b = 1, 2, 3, 12; b enters the
+# kernel scale h b and the chirps of the quadrature.
+OVERLAP_MATRICES = [[[2, 1], [1, 1]], [[5, 2], [2, 1]], [[2, 3], [3, 5]],
+                    [[29, 12], [12, 5]]]
+
+
 def test_overlap_closed_form_matches_quadrature():
-    h = 1.0 / (2 * math.pi * 34)
-    for omega in [(0.0, 0.0), (0.2, -0.1), (-0.15, 0.25)]:
-        cf = overlap_closed_form(B_CAT, omega, h)
-        quad = overlap_quadrature(B_CAT, omega, h)
-        assert abs(cf - quad) < 1e-9
+    for B in OVERLAP_MATRICES:
+        for N in (34, 144):
+            h = 1.0 / (2 * math.pi * N)
+            for omega in [(0.0, 0.0), (0.2, -0.1), (-0.15, 0.25),
+                          (1.3, -0.9)]:
+                cf = overlap_closed_form(B, omega, h)
+                quad = overlap_quadrature(B, omega, h)
+                assert abs(cf - quad) < 1e-9
     # omega = 0 reduces to the autocorrelation amplitude
+    h = 1.0 / (2 * math.pi * 34)
     assert abs(overlap_closed_form(B_CAT, (0, 0), h)
                - math.sqrt(2.0 / 3.0)) < 1e-14
+
+
+def dense_trapezoid_overlap(B, omega, h, npts=1600):
+    """The trapezoid sum of overlap_quadrature with its npts^2 kernel."""
+    ((a, b), (_, d)) = B
+    y, eta = float(omega[0]), float(omega[1])
+    half = 10.0 * math.sqrt(h)
+    x = np.linspace(min(0.0, y) - half, max(0.0, y) + half, npts)
+    yy = np.linspace(-half, half, npts)
+
+    def g(x):
+        return (math.pi * h) ** (-0.25) * np.exp(-x * x / (2 * h))
+
+    kernel = np.exp(1j * (d * x[:, None] ** 2 - 2 * x[:, None] * yy[None, :]
+                          + a * yy[None, :] ** 2) / (2 * h * b))
+    MG = (np.exp(-1j * np.pi / 4) / math.sqrt(2 * np.pi * h * b)
+          * np.trapezoid(kernel * g(yy)[None, :], yy, axis=1))
+    UG = np.exp(1j / h * (eta * x - y * eta / 2)) * g(x - y)
+    return complex(np.trapezoid(UG * np.conj(MG), x))
+
+
+def test_overlap_quadrature_matches_dense_trapezoid():
+    # Every call converges at 1600 points, so the chirp-z factoring must
+    # reproduce the dense double sum there up to rounding.
+    rng = np.random.default_rng(7)
+    for B in OVERLAP_MATRICES:
+        for N in (34, 144):
+            h = 1.0 / (2 * math.pi * N)
+            w = rng.uniform(-1.4, 1.4, size=2)
+            ref = dense_trapezoid_overlap(B, w, h)
+            assert abs(overlap_quadrature(B, w, h) - ref) <= 1e-12
+
+
+def test_overlap_quadrature_memory_is_linear():
+    # A level holds a few arrays of the FFT length (4096 points at 1600),
+    # far below the 41 MB of one 1600 x 1600 complex kernel.
+    h = 1.0 / (2 * math.pi * 144)
+    tracemalloc.start()
+    try:
+        overlap_quadrature(B_CAT, (0.7, -1.1), h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_overlap_quadrature_cap_raises(monkeypatch):
+    # Below 1600 points the refinement cannot confirm convergence.
+    monkeypatch.setattr(catlab.scars, "QUADRATURE_MAX_POINTS", 1000)
+    h = 1.0 / (2 * math.pi * 34)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        overlap_quadrature(B_CAT, (0.2, -0.1), h)
 
 
 def test_overlap_requires_symmetric_hyperbolic():
