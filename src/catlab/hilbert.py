@@ -14,6 +14,8 @@ import math
 import numpy as np
 
 DENSE_LIMIT = 4096
+# Identity columns per batched apply in _dense_matrix.
+_DENSE_COLS = 16
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,24 @@ def basis_state(space, index):
     return QuantumState(space, c)
 
 
+def _dense_matrix(apply_array, dim, what):
+    """
+    The dim x dim matrix of a linear map given by its batched apply,
+    filled in place from blocks of _DENSE_COLS identity columns so that
+    no temporary larger than one block is held.  Refuses dim above
+    DENSE_LIMIT.
+    """
+    if dim > DENSE_LIMIT:
+        raise ValueError("dense %s exceeds materialization limit" % what)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for lo in range(0, dim, _DENSE_COLS):
+        cols = min(_DENSE_COLS, dim - lo)
+        eye = np.zeros((cols, dim), dtype=np.complex128)
+        eye[np.arange(cols), np.arange(lo, lo + cols)] = 1.0
+        out[:, lo:lo + cols] = apply_array(eye).T
+    return out
+
+
 def sigma_lattice(m1, m2):
     """sigma(m1, m2) for integer interleaved vectors, exact."""
     n = len(m1) // 2
@@ -105,27 +125,26 @@ class LatticeTranslation:
             self._shifts.append(p)
 
     def apply_array(self, c):
-        """Apply to a raveled coefficient array (any complex dtype)."""
-        N = self.space.N
-        c = np.asarray(c, dtype=np.complex128).reshape((N,) * self.space.n)
-        for axis in range(self.space.n):
-            c = np.roll(c, self._shifts[axis], axis=axis)
-            shape = [1] * self.space.n
+        """
+        Apply to raveled coefficients of shape (..., N^n), any complex
+        dtype; leading axes are a batch.
+        """
+        N, n = self.space.N, self.space.n
+        c = np.asarray(c, dtype=np.complex128)
+        batch = c.shape[:-1]
+        c = c.reshape(batch + (N,) * n)
+        for axis in range(n):
+            c = np.roll(c, self._shifts[axis], axis=len(batch) + axis)
+            shape = [1] * n
             shape[axis] = N
             c = c * self._phases[axis].reshape(shape)
-        return c.ravel()
+        return c.reshape(batch + (N ** n,))
 
     def apply(self, state):
         return QuantumState(state.space, self.apply_array(state.coeffs))
 
     def dense(self):
-        if self.space.dim > DENSE_LIMIT:
-            raise ValueError("dense translation exceeds materialization limit")
-        out = np.empty((self.space.dim, self.space.dim), dtype=np.complex128)
-        eye = np.eye(self.space.dim)
-        for k in range(self.space.dim):
-            out[:, k] = self.apply_array(eye[:, k])
-        return out
+        return _dense_matrix(self.apply_array, self.space.dim, "translation")
 
 
 def translation(space, w):
@@ -161,7 +180,7 @@ class TrigObservable:
 
 
 class QuantizedObservable:
-    """Op(a) = sum_j c_j U_{j/N}; dense when N^n <= 4096, else streamed."""
+    """Op(a) = sum_j c_j U_{j/N}; streamed, with a lazy dense matrix."""
 
     def __init__(self, space, observable):
         space.require_zero_theta()
@@ -169,20 +188,25 @@ class QuantizedObservable:
         self.observable = observable
         self._translations = [(LatticeTranslation(space, j), c)
                               for j, c in observable.terms]
-        self.dense = None
-        if space.dim <= DENSE_LIMIT:
-            self.dense = np.zeros((space.dim, space.dim), dtype=np.complex128)
-            for U, c in self._translations:
-                self.dense += c * U.dense()
+        self._dense = None
 
     def apply_array(self, c):
-        out = np.zeros(self.space.dim, dtype=np.complex128)
+        """Apply to coefficients of shape (..., N^n); leading axes batch."""
+        c = np.asarray(c, dtype=np.complex128)
+        out = np.zeros(c.shape, dtype=np.complex128)
         for U, coef in self._translations:
             out += coef * U.apply_array(c)
         return out
 
     def apply(self, state):
         return QuantumState(state.space, self.apply_array(state.coeffs))
+
+    @property
+    def dense(self):
+        if self._dense is None:
+            self._dense = _dense_matrix(self.apply_array, self.space.dim,
+                                        "observable")
+        return self._dense
 
 
 def weyl_quantize(space, observable):

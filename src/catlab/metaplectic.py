@@ -10,6 +10,9 @@ The SL(2,Z) propagator is a finite Gauss-sum kernel
 for A = [[a, b], [c, d]] with positive entries, theta = 0, N even.
 Applying it is a chirp - DFT - chirp on N b points, so the streamed path
 costs O(N b log(N b)) per state with O(N b) workspace.
+
+Every apply_array takes coefficients of shape (..., N^n) and acts on the
+last axis; leading axes are a batch of states.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,8 @@ import math
 
 import numpy as np
 
-from .hilbert import DENSE_LIMIT, LatticeTranslation, QuantumState
+from .hilbert import (DENSE_LIMIT, LatticeTranslation, QuantumState,
+                      _dense_matrix)
 from .symplectic import SymplecticMatrix
 
 
@@ -39,11 +43,8 @@ class Propagator:
     @property
     def dense(self):
         if self._dense is None:
-            if self.space.dim > DENSE_LIMIT:
-                raise ValueError("dense propagator exceeds materialization limit")
-            eye = np.eye(self.space.dim, dtype=np.complex128)
-            cols = [self.apply_array(eye[:, k]) for k in range(self.space.dim)]
-            self._dense = np.stack(cols, axis=1)
+            self._dense = _dense_matrix(self.apply_array, self.space.dim,
+                                        "propagator")
         return self._dense
 
     def compose(self, other):
@@ -68,7 +69,7 @@ def _sl2_apply(N, a, b, d):
 
     def apply_array(c):
         x = np.tile(c, b) * chirp_in
-        return chirp_out * np.fft.fft(x)[:N]
+        return chirp_out * np.fft.fft(x)[..., :N]
 
     return apply_array
 
@@ -123,10 +124,10 @@ def rotation_propagator(space):
     N = space.N
 
     def apply_array(c):
-        g = c.reshape(N, N)
+        g = c.reshape(c.shape[:-1] + (N, N))
         # basis action e_a (x) e_b -> e_b (x) e_{(-a) mod N}
-        out = g[(-np.arange(N)) % N, :].T
-        return np.ascontiguousarray(out).ravel()
+        out = np.swapaxes(g[..., (-np.arange(N)) % N, :], -1, -2)
+        return out.reshape(c.shape)
 
     return Propagator(space, rotation_classical(), apply_array)
 
@@ -144,10 +145,10 @@ def tensor_propagator(space2, P1, P2):
         classical = SymplecticMatrix(blk.tolist())
 
     def apply_array(c):
-        g = c.reshape(N, N)
-        g = np.stack([P1.apply_array(g[:, k]) for k in range(N)], axis=1)
-        g = np.stack([P2.apply_array(g[j, :]) for j in range(N)], axis=0)
-        return g.ravel()
+        # P1 on the first tensor axis, as a batch over the second, then P2
+        g = c.reshape(c.shape[:-1] + (N, N))
+        g = np.swapaxes(P1.apply_array(np.swapaxes(g, -1, -2)), -1, -2)
+        return P2.apply_array(g).reshape(c.shape)
 
     return Propagator(space2, classical, apply_array)
 
@@ -156,6 +157,8 @@ def egorov_defect(P, window):
     """
     max over lattice j, |j|_inf <= window, of
     ||M^{-1} U_{j/N} M - U_{A^{-1} j / N}||_max on the dense path.
+    U_{j/N} is monomial, so U M is its batched apply to the columns of M,
+    and each shift costs one product M^H (U M).
     """
     space = P.space
     A_inv = P.classical.inverse()
@@ -166,9 +169,9 @@ def egorov_defect(P, window):
         *[np.arange(-window, window + 1)] * (2 * space.n),
         indexing="ij"), axis=-1).reshape(-1, 2 * space.n)
     for j in ranges:
-        U = LatticeTranslation(space, j).dense()
+        UM = LatticeTranslation(space, j).apply_array(M.T).T
         target = LatticeTranslation(space, A_inv.apply(j)).dense()
-        worst = max(worst, float(np.abs(Mh @ U @ M - target).max()))
+        worst = max(worst, float(np.abs(Mh @ UM - target).max()))
     return worst
 
 

@@ -147,52 +147,89 @@ def overlap_quadrature(B, omega, h, rtol=1e-10):
 
 def lattice_overlap_sum(B, q, c, h):
     """
-    sum over l in Z^2 of |<M_B^q G_h, U_{l+c} G_h>| via the closed form,
-    truncated when a whole ring contributes below 1e-16 of the running
-    total.  Returns (total, l0_term, rest).  Requires q >= 0.
+    sum over l in Z^2 of |<M_B^q G_h, U_{l+c} G_h>| via the closed form.
+    Returns (total, l0_term, rest).  Requires q >= 0.
+
+    With A = B^q = [[p, b], [b, s]] (A = I at q = 0) and a = 1 / (2 h Tr A),
+    the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>,
+    p Q(w) = (p w2 - b w1)^2 + w1^2.  The sum runs over the ellipse
+    Q(l + c) <= radius, enumerated row by row in l1, each row widened by
+    one point for the real offset c.  The radius grows until the proven
+    tail bound (see _tail_bound) is at most TORUS_SUM_TOL times the total.
+    Raises ValueError when the rows or the ellipse area pi * radius would
+    exceed TORUS_SUM_LIMIT, rather than truncate.
     """
     B = _check_overlap_matrix(B)
     if q < 0:
         raise ValueError("lattice_overlap_sum supports q >= 0 only")
-    if q == 0:
-        Aq = np.eye(2)
-        Aq_inv = np.eye(2)
-        tr = 2.0
-    else:
-        Bq = B.power(q)
-        Aq_inv = np.array(Bq.inverse().entries, dtype=float)
-        tr = float(Bq.trace())
+    ((p, b), (_, s)) = B.power(q).entries
+    tr = p + s
+    a = 1.0 / (2 * h * tr)
     amp = math.sqrt(2.0 / tr)
-    cvec = np.asarray(c, dtype=float)
+    c1, c2 = float(c[0]), float(c[1])
 
-    def term(l1, l2):
-        w = cvec + np.array([l1, l2], dtype=float)
-        quad = float(w @ Aq_inv @ w)
-        return amp * math.exp(-quad / (2 * h * tr))
+    def quad(w1, w2):
+        return ((p * w2 - b * w1) ** 2 + w1 * w1) / p
 
-    total = term(0, 0)
-    l0 = total
-    ring = 1
+    # l = 0 lies inside the first ellipse, so the total is never below it.
+    r = quad(c1, c2) + math.log(1 / TORUS_SUM_TOL) / a
     while True:
-        contrib = 0.0
-        for l1 in range(-ring, ring + 1):
-            for l2 in range(-ring, ring + 1):
-                if max(abs(l1), abs(l2)) == ring:
-                    contrib += term(l1, l2)
-        total += contrib
-        if contrib < 1e-16 * total or ring > 64:
-            return total, l0, total - l0
-        ring += 1
+        R = math.sqrt(p * r)
+        first, last = math.floor(-R - c1), math.ceil(R - c1)
+        bound = _tail_bound(p, a, r, last - first + 1, amp,
+                            "lattice_overlap_sum at q = %d" % q)
+        l1 = np.arange(first, last + 1)
+        w1 = l1 + c1
+        half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
+        lo = np.floor((b * w1 - half) / p - c2)
+        counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
+        starts = np.cumsum(counts) - counts
+        L1 = np.repeat(l1, counts)
+        L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+        terms = amp * np.exp(-a * quad(L1 + c1, L2 + c2))
+        total = float(terms.sum())
+        # total >= the l = 0 term >= e^39 amp exp(-a r), so total is 0
+        # only when bound has underflowed to 0 as well.
+        if bound <= TORUS_SUM_TOL * total:
+            break
+        # one unit of a r beyond the estimate, so that r always grows
+        r += (1 + math.log(bound / (TORUS_SUM_TOL * total))) / a
+    l0 = float(terms[(L1 == 0) & (L2 == 0)][0])
+    return total, l0, total - l0
 
 
 # Largest grid overlap_quadrature refines to before it raises: the ladder
 # 800, 1600, ... stops at 51,200 points, one 131,072-point FFT.
 QUADRATURE_MAX_POINTS = 60000
 # Largest row count or ellipse area (pi * radius) torus_autocorrelation
-# enumerates before it refuses.
+# and lattice_overlap_sum enumerate before they refuse.
 TORUS_SUM_LIMIT = 10 ** 6
-# Omitted terms are bounded by this fraction of the l = 0 amplitude.
+# Omitted terms are bounded by this fraction of the l = 0 amplitude
+# (torus_autocorrelation) or of the total (lattice_overlap_sum).
 TORUS_SUM_TOL = 1e-17
+
+
+def _tail_bound(p, a, r, rows, amp, what):
+    """
+    Proven bound on the terms amp exp(-a Q(w)) of a lattice sum,
+    p Q(w) = (p w2 - b w1)^2 + w1^2, that a sum over `rows` rows in w1
+    covering the ellipse Q(w) <= r omits.  Raises ValueError when the rows
+    or the ellipse area pi r exceed TORUS_SUM_LIMIT.
+
+    In w2 a row is a Gaussian exp(-a p (w2 - b w1 / p)^2) times
+    exp(-a w1^2 / p).  The points a kept row omits lie beyond distance
+    rho on either side, with a p rho^2 = a r - a w1^2 / p, so by
+    sum <= f(rho) + integral and erfc(x) <= exp(-x^2) they add at most
+    exp(-a r) (2 + g) per row, g = sqrt(pi / (a p)).  The rows
+    |w1| > sqrt(p r) add at most exp(-a r) (2 + sqrt(pi p / a)) times the
+    largest full row, 1 + g.  Both hold for any offset of the lattice.
+    """
+    if rows > TORUS_SUM_LIMIT or math.pi * r > TORUS_SUM_LIMIT:
+        raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
+                         % (what, r))
+    g = math.sqrt(math.pi / (a * p))
+    far_rows = (2 + math.sqrt(math.pi * p / a)) * (1 + g)
+    return amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
 
 
 @dataclass(frozen=True)
@@ -230,23 +267,9 @@ def torus_autocorrelation(B, t, N):
     a = math.pi * N / tr
     amp = math.sqrt(2.0 / tr)
 
-    # In l2 a row is a Gaussian exp(-a p (l2 - c)^2), c = b l1 / p, times
-    # exp(-a l1^2 / p).  The points a kept row omits lie beyond distance
-    # rho on either side, with a p rho^2 = a r - a l1^2 / p, so by
-    # sum <= f(rho) + integral and erfc(x) <= exp(-x^2) they add at most
-    # exp(-a r) (2 + g) per row, g = sqrt(pi / (a p)).  The rows
-    # |l1| > sqrt(p r) add at most exp(-a r) (2 + sqrt(pi p / a)) times
-    # the largest full row, 1 + g.
-    g = math.sqrt(math.pi / (a * p))
-    far_rows = (2 + math.sqrt(math.pi * p / a)) * (1 + g)
-
     def tail(r):
-        rows = 2 * math.isqrt(p * r) + 1
-        if rows > TORUS_SUM_LIMIT or math.pi * r > TORUS_SUM_LIMIT:
-            raise ValueError("torus_autocorrelation at t = %d, N = %d needs "
-                             "radius >= %d, beyond TORUS_SUM_LIMIT"
-                             % (t, N, r))
-        return amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
+        return _tail_bound(p, a, r, 2 * math.isqrt(p * r) + 1, amp,
+                           "torus_autocorrelation at t = %d, N = %d" % (t, N))
 
     target = TORUS_SUM_TOL * amp
     r = math.ceil(math.log(1 / TORUS_SUM_TOL) / a)
@@ -283,8 +306,16 @@ class ScarConfig:
     lam: float
 
 
+# Largest P x N complex orbit array make_scar_config admits; it refuses
+# before any array of length N is allocated.
+SCAR_MAX_BYTES = 2 * 2 ** 30
+
+
 def make_scar_config(B, k):
-    """Validates admissibility and measures the period phase."""
+    """
+    Validates admissibility and the orbit's size (SCAR_MAX_BYTES), and
+    measures the period phase.
+    """
     if not isinstance(B, SymplecticMatrix):
         B = SymplecticMatrix(B)
     ((a, b), (c, d)) = B.entries
@@ -299,6 +330,11 @@ def make_scar_config(B, k):
         raise ValueError("N_k must be even")
     N = nk.value
     P = quantum_period(B, N)
+    need = 16 * P * N
+    if need > SCAR_MAX_BYTES:
+        raise ValueError("the P x N = %d x %d complex scar orbit needs %d "
+                         "bytes, above SCAR_MAX_BYTES = %d"
+                         % (P, N, need, SCAR_MAX_BYTES))
     space = StateSpace(1, N)
     M = metaplectic_sl2(space, B)
     G = hilbert.project_gaussian(space)

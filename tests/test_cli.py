@@ -82,6 +82,23 @@ def test_memory_error_exits_three(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err) == out
 
 
+def test_scar_build_refuses_oversized_orbit(tmp_path, monkeypatch, capsys):
+    # N_24 = F_48 ~ 4.8e9: the 48 x N orbit would need 3.7 TB
+    import catlab.hilbert
+    import catlab.scars
+    def unreachable(*a, **k):
+        raise AssertionError("a length-N array was about to be allocated")
+    monkeypatch.setattr(catlab.scars, "metaplectic_sl2", unreachable)
+    monkeypatch.setattr(catlab.hilbert, "project_gaussian", unreachable)
+    rc = main(["scar-build", "--matrix", CAT, "--k", "24",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out = read_json(tmp_path / "scar-build-0.json")
+    assert out["kind"] == "precondition"
+    assert "SCAR_MAX_BYTES" in out["error"]
+    assert json.loads(capsys.readouterr().err) == out
+
+
 def test_unwritable_out_exits_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ def test_weyl_quantize_identity_adjoint_and_norm():
     op = weyl_quantize(SP, a)
     assert np.abs(op.dense - op.dense.conj().T).max() < 1e-12
     assert np.linalg.norm(op.dense, 2) <= a.coeff_sum() + 1e-12
+
+
+def test_weyl_quantize_dense_is_lazy():
+    a = TrigObservable.from_dict({(1, 2, 0, 1): 0.5, (0, 0, -3, 1): 2j,
+                                  (0, 0, 0, 0): 1.0})
+    sp = StateSpace(2, 40)  # a 1600 x 1600 matrix, 41 MB
+    tracemalloc.start()
+    try:
+        op = weyl_quantize(sp, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    expect = np.zeros((sp.dim, sp.dim), dtype=np.complex128)
+    for j, c in a.terms:
+        expect += c * LatticeTranslation(sp, j).dense()
+    assert np.array_equal(op.dense, expect)
+    assert op.dense is op.dense
+    with pytest.raises(ValueError):
+        weyl_quantize(StateSpace(2, 65), a).dense  # dim 4225 > DENSE_LIMIT
 
 
 def test_weyl_quantize_linear():

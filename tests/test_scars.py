@@ -118,12 +118,39 @@ def test_lattice_overlap_sum_small_h_is_dominated_by_l0():
     total, l0, rest = lattice_overlap_sum(B_CAT, 0, (0.0, 0.0), h)
     assert abs(l0 - 1.0) < 1e-15
     assert rest < 1e-12 * total
-    # each sum is dominated by its own l = 0 amplitude, uniformly in q
-    for q in range(0, 9):
+    # each sum is dominated by its own l = 0 amplitude for q <= 5; from
+    # q = 6 on (total / l0 = 2.24) the lattice points along the expanding
+    # eigendirection of B^q are not small
+    for q in range(0, 6):
         tq, l0q, _ = lattice_overlap_sum(B_CAT, q, (0.0, 0.0), h)
         assert tq / l0q < 1.5
+    t6, l06, _ = lattice_overlap_sum(B_CAT, 6, (0.0, 0.0), h)
+    assert t6 / l06 > 2
     with pytest.raises(ValueError):
         lattice_overlap_sum(B_CAT, -1, (0.0, 0.0), h)
+
+
+def test_lattice_overlap_sum_matches_box_sum():
+    # |l| <= 600 box sums; c = (3, -2) / 10 keeps 100 Q(l + c) an exact
+    # integer form in the box
+    N = 144
+    h = 1.0 / (2 * math.pi * N)
+    l = np.arange(-600, 601)
+    for q in range(0, 7):
+        ((p, b), (_, s)) = B_CAT.power(q).entries
+        tr = p + s
+        for c10 in [(0, 0), (3, -2)]:
+            u1 = 10 * l[:, None] + c10[0]
+            u2 = 10 * l[None, :] + c10[1]
+            Q100 = s * u1 * u1 - 2 * b * u1 * u2 + p * u2 * u2
+            box = math.sqrt(2.0 / tr) * np.exp(-Q100 / (200 * h * tr))
+            c = (c10[0] / 10, c10[1] / 10)
+            total, l0, rest = lattice_overlap_sum(B_CAT, q, c, h)
+            assert abs(total - box.sum()) <= 1e-13 * box.sum()
+            assert abs(l0 - box[600, 600]) <= 1e-13 * l0
+            assert rest == total - l0 and rest >= 0
+    with pytest.raises(ValueError):
+        lattice_overlap_sum(B_CAT, 30, (0.0, 0.0), h)  # beyond TORUS_SUM_LIMIT
 
 
 def test_torus_autocorrelation_matches_propagator():
