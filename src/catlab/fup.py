@@ -8,10 +8,10 @@ norm-decay experiments fit log-log slopes across grid sizes.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class DiscreteSet:
 
 
 def full_set(M, dims=1):
-    if dims == 1:
-        return DiscreteSet(M, 1, frozenset((j,) for j in range(M)))
-    import itertools
     return DiscreteSet(M, dims,
                        frozenset(itertools.product(range(M), repeat=dims)))
 
@@ -75,33 +72,59 @@ def product_set(X, Y):
     return DiscreteSet(X.M, 2, cells)
 
 
+def _norm2(r, d):
+    """Squared length |v|^2 of every offset v in the box [-r, r]^d."""
+    return np.sum((np.indices((2 * r + 1,) * d) - r) ** 2, axis=0)
+
+
+def _hits(mask, stencils):
+    """
+    counts[c, k] = #{v : stencils[r + v, k] and mask[c + v]} for every
+    integer centre c in [0, M]^d, cells off the grid counting as 0.  The
+    stencils are (2r+1)^d boxes stacked on the last axis.  Each count is
+    a zero-padded FFT correlation, rounded; a residual >= 0.25 raises.
+    """
+    d, M, r = mask.ndim, mask.shape[0], stencils.shape[0] // 2
+    n = max(M, r) + r + 1
+    while 30 ** n.bit_length() % n:  # 5-smooth sizes keep the FFT fast
+        n += 1
+    size, axes = (n,) * d, tuple(range(d))
+    spec = np.fft.rfftn(mask, size, axes)
+    keep = (slice(r, r + M + 1),) * d
+    out = np.empty((M + 1,) * d + stencils.shape[-1:], dtype=np.int32)
+    for k in range(stencils.shape[-1]):
+        sten = np.fft.rfftn(np.flip(stencils[..., k], axes), size, axes)
+        raw = np.fft.irfftn(spec * sten, size, axes)[keep]
+        out[..., k] = np.rint(raw)
+        if np.abs(raw - out[..., k]).max() >= 0.25:
+            raise RuntimeError("FFT stencil count is not near an integer")
+    return out
+
+
 def neighborhood(X, delta):
     """Minkowski dilation by a Euclidean ball of radius delta."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     r = math.ceil(delta * X.M)
-    if r == 0 or not X.cells:
-        return X
-    grids = np.indices((2 * r + 1,) * X.dims) - r
-    ball = (np.sum(grids.astype(float) ** 2, axis=0) <= r * r)
-    dil = ndimage.binary_dilation(X.mask(), structure=ball)
-    cells = [tuple(idx) for idx in np.argwhere(dil)]
-    return DiscreteSet(X.M, X.dims, frozenset(cells))
+    ball = (_norm2(r, X.dims) <= r * r)[..., None]
+    dil = _hits(X.mask(), ball)[(slice(X.M),) * X.dims + (0,)] > 0
+    return DiscreteSet(X.M, X.dims, frozenset(map(tuple, np.argwhere(dil))))
 
 
-def _distance_to_set(X):
-    """Per-cell Euclidean distance (in cells) to the nearest X cell."""
-    mask = X.mask()
-    if not mask.any():
-        return np.full(mask.shape, np.inf)
-    return ndimage.distance_transform_edt(~mask)
+_DIRECTIONS = np.stack([np.cos(np.pi * np.arange(16) / 16),
+                        np.sin(np.pi * np.arange(16) / 16)], axis=1)
 
 
-def _line_points(M, center, direction, half_len):
-    t = np.linspace(-half_len, half_len, max(3, int(2 * half_len) + 1))
-    pts = np.round(center[None, :] + t[:, None] * direction[None, :]).astype(int)
-    keep = np.all((pts >= 0) & (pts < M), axis=1)
-    return pts[keep]
+def _segments(r):
+    """
+    Segments {round(t u) : integer |t| <= r} for the 16 directions u; for
+    |t| <= 3^7, round(c + t u) = c + round(t u) at integer centres c.
+    """
+    t = np.arange(-r, r + 1)[:, None, None]
+    pts = np.round(t * _DIRECTIONS).astype(int) + r
+    stencils = np.zeros((2 * r + 1, 2 * r + 1, 16), dtype=bool)
+    stencils[pts[..., 0], pts[..., 1], np.arange(16)] = True
+    return stencils
 
 
 def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
@@ -115,55 +138,31 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
     """
     if not (0 < nu < 1 and 0 < alpha0 <= alpha1 <= 1):
         raise ValueError("need 0 < nu < 1 and 0 < alpha0 <= alpha1 <= 1")
-    if not X.cells:
-        return True, None
-    M, d = X.M, X.dims
-    dist = _distance_to_set(X)
-    scales = []
+    if mode not in ("balls", "lines"):
+        raise ValueError("mode must be 'balls' or 'lines'")
+    if mode == "lines" and X.dims != 2:
+        raise ValueError("lines mode requires d = 2")
+    M, d, mask = X.M, X.dims, X.mask()
     R = alpha0
     while R <= alpha1 * (1 + 1e-12):
-        scales.append(R)
-        R *= 2
-    if mode == "lines":
-        if d != 2:
-            raise ValueError("lines mode requires d = 2")
-        angles = np.pi * np.arange(16) / 16
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    for R in scales:
         r = max(1, int(round(R * M)))
         need = nu * R * M
-        step = max(1, r // 2)
-        lo, hi = r, max(r + 1, M - r)
-        centers = range(lo, hi, step) if hi > lo else [M // 2]
-        if mode == "balls":
-            if d == 1:
-                for c in centers:
-                    window = dist[max(0, c - r): c + r + 1]
-                    if window.max() < need:
-                        return False, {"R": R, "center": (c / M,)}
-            else:
-                grids = np.indices((2 * r + 1,) * d) - r
-                ball = np.sum(grids.astype(float) ** 2, axis=0) <= r * r
-                for c1 in centers:
-                    for c2 in centers:
-                        window = dist[c1 - r: c1 + r + 1, c2 - r: c2 + r + 1]
-                        if window[ball[:window.shape[0], :window.shape[1]]
-                                  ].max() < need:
-                            return False, {"R": R, "center": (c1 / M, c2 / M)}
-        elif mode == "lines":
-            for c1 in centers:
-                for c2 in centers:
-                    center = np.array([c1, c2], dtype=float)
-                    for direction in dirs:
-                        pts = _line_points(M, center, direction, r)
-                        if pts.size == 0:
-                            continue
-                        if dist[pts[:, 0], pts[:, 1]].max() < need:
-                            return False, {"R": R,
-                                           "segment_center": (c1 / M, c2 / M),
-                                           "direction": tuple(direction)}
-        else:
-            raise ValueError("mode must be 'balls' or 'lines'")
+        near = (np.sqrt(_norm2(math.ceil(need), d)) < need)[..., None]
+        free = _hits(mask, near)[(slice(M),) * d + (0,)] == 0  # dist >= need
+        stencils = (_segments(r) if mode == "lines"
+                    else (_norm2(r, d) <= r * r)[..., None])
+        # a window fails when it has in-grid cells but no free one
+        fail = ((_hits(free, stencils) == 0)
+                & (_hits(np.ones_like(mask), stencils) > 0))
+        centers = np.arange(r, max(r + 1, M - r), max(1, r // 2))
+        hit = np.argwhere(fail[np.ix_(*[centers] * d)])
+        if len(hit):
+            c = tuple(int(centers[i]) / M for i in hit[0][:d])
+            if mode == "balls":
+                return False, {"R": R, "center": c}
+            return False, {"R": R, "segment_center": c,
+                           "direction": tuple(_DIRECTIONS[hit[0][d]])}
+        R *= 2
     return True, None
 
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import catlab
 from catlab import (DiscreteSet, cantor_set, fup_norm, neighborhood,
                     porosity_check, scaling_experiment)
 from catlab.fup import (basic_uncertainty_norm, dft_matrix, full_set,
@@ -51,6 +55,11 @@ def test_cantor_is_porous_full_is_not():
     assert not ok and ce is not None
     empty = DiscreteSet(243, 1, frozenset())
     assert porosity_check(empty, 1 / 9, 1 / 243, 1.0) == (True, None)
+    # arguments are checked before the empty set's trivial verdict
+    with pytest.raises(ValueError):
+        porosity_check(empty, 1 / 9, 1 / 243, 1.0, mode="nope")
+    with pytest.raises(ValueError):
+        porosity_check(empty, 1 / 9, 1 / 243, 1.0, mode="lines")
 
 
 def test_neighborhood_of_porous_set_is_porous_at_half_nu():
@@ -75,6 +84,143 @@ def test_line_porosity_stricter_than_ball_porosity():
     assert abs(math.hypot(dx, dy) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         porosity_check(X, nu, 0.25, 1.0, mode="lines")  # d = 1
+
+
+def _brute_distance(X):
+    """Euclidean distance (in cells) from every grid cell to X."""
+    grid = np.indices((X.M,) * X.dims).reshape(X.dims, -1).T
+    cells = np.array(sorted(X.cells)).reshape(-1, X.dims)
+    if not len(cells):
+        return np.full((X.M,) * X.dims, np.inf)
+    d2 = ((grid[:, None, :] - cells[None, :, :]) ** 2).sum(axis=2)
+    return np.sqrt(d2.min(axis=1)).reshape((X.M,) * X.dims)
+
+
+def _reference_porosity(X, nu, alpha0, alpha1, mode="balls"):
+    """The per-centre loop sweep that porosity_check replaced."""
+    M, d = X.M, X.dims
+    dist = _brute_distance(X)
+    scales = []
+    R = alpha0
+    while R <= alpha1 * (1 + 1e-12):
+        scales.append(R)
+        R *= 2
+    angles = np.pi * np.arange(16) / 16
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for R in scales:
+        r = max(1, int(round(R * M)))
+        need = nu * R * M
+        step = max(1, r // 2)
+        centers = range(r, max(r + 1, M - r), step)
+        if mode == "balls" and d == 1:
+            for c in centers:
+                if dist[max(0, c - r): c + r + 1].max() < need:
+                    return False, {"R": R, "center": (c / M,)}
+        elif mode == "balls":
+            grids = np.indices((2 * r + 1,) * d) - r
+            ball = np.sum(grids.astype(float) ** 2, axis=0) <= r * r
+            for c1 in centers:
+                for c2 in centers:
+                    window = dist[c1 - r: c1 + r + 1, c2 - r: c2 + r + 1]
+                    if window[ball[:window.shape[0], :window.shape[1]]
+                              ].max() < need:
+                        return False, {"R": R, "center": (c1 / M, c2 / M)}
+        else:
+            t = np.linspace(-r, r, max(3, 2 * r + 1))
+            for c1 in centers:
+                for c2 in centers:
+                    center = np.array([c1, c2], dtype=float)
+                    for u in dirs:
+                        pts = np.round(center + t[:, None] * u).astype(int)
+                        pts = pts[np.all((pts >= 0) & (pts < M), axis=1)]
+                        if pts.size == 0:
+                            continue
+                        if dist[pts[:, 0], pts[:, 1]].max() < need:
+                            return False, {"R": R,
+                                           "segment_center": (c1 / M, c2 / M),
+                                           "direction": tuple(u)}
+    return True, None
+
+
+def _random_set(rng, M, d, density):
+    cells = np.argwhere(rng.random((M,) * d) < density)
+    return DiscreteSet(M, d, frozenset(map(tuple, cells)))
+
+
+def test_porosity_check_matches_reference_sweep():
+    cases = [(cantor_set(k), 1 / 9, 3.0 ** -k, "balls") for k in range(1, 7)]
+    cases.append((full_set(81), 1 / 9, 1 / 81, "balls"))
+    for k in range(1, 4):
+        XX = product_set(cantor_set(k), cantor_set(k))
+        cases += [(XX, nu, 3.0 ** -k, mode) for nu in (1 / 9, 0.3)
+                  for mode in ("balls", "lines")]
+    rng = np.random.default_rng(0)
+    for i in range(24):
+        d = 1 + i % 2
+        M = int(rng.integers(3, 50 if d == 1 else 24))
+        cases.append((_random_set(rng, M, d, rng.uniform(0.02, 0.5)),
+                      float(rng.uniform(0.05, 0.6)),
+                      float(rng.uniform(0.02, 0.3)),
+                      "lines" if d == 2 and i % 4 == 1 else "balls"))
+    verdicts = set()
+    for X, nu, alpha0, mode in cases:
+        got = porosity_check(X, nu, alpha0, 1.0, mode=mode)
+        assert got == _reference_porosity(X, nu, alpha0, 1.0, mode), \
+            (X.M, X.dims, nu, alpha0, mode)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_lines_counterexample_skips_segments_off_the_grid():
+    # At R = 1 the first sampled centre is (M, M), off the grid: the
+    # direction-0 segment there has no cell in the grid and is skipped,
+    # so the counterexample is direction 1.
+    XX = product_set(cantor_set(4), cantor_set(4))
+    got = porosity_check(XX, 0.2, 0.25, 1.0, mode="lines")
+    assert got == _reference_porosity(XX, 0.2, 0.25, 1.0, "lines")
+    ok, ce = got
+    assert not ok and ce["R"] == 1.0 and ce["segment_center"] == (1.0, 1.0)
+    assert ce["direction"] == (math.cos(math.pi / 16), math.sin(math.pi / 16))
+
+
+def test_stencil_counts_refuse_inexact_fft(monkeypatch):
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a: irfftn(*a) + 0.3)
+    with pytest.raises(RuntimeError):
+        porosity_check(cantor_set(3), 1 / 9, 1 / 27, 1.0)
+
+
+def test_segments_move_with_integer_centres():
+    # rasterising t u (|t| <= 3^7) once serves every integer centre,
+    # because t u stays clear of half-integers
+    angles = np.pi * np.arange(16) / 16
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tu = np.arange(1, 3 ** 7 + 1)[:, None, None] * u
+    assert np.abs(tu - np.floor(tu) - 0.5).min() > 2e-5
+    for c in (1, 728, 3 ** 7):
+        assert np.array_equal(np.round(c + tu), c + np.round(tu))
+
+
+def test_neighborhood_matches_brute_force_dilation():
+    rng = np.random.default_rng(1)
+    sets = [cantor_set(3), _random_set(rng, 40, 1, 0.1),
+            product_set(cantor_set(2), cantor_set(2)),
+            _random_set(rng, 13, 2, 0.05)]
+    for X in sets:
+        for delta in (0.0, 0.03, 0.1, 0.3, 1.5):
+            r = math.ceil(delta * X.M)
+            dilated = np.argwhere(_brute_distance(X) <= r)
+            assert neighborhood(X, delta).cells == set(map(tuple, dilated))
+
+
+def test_import_catlab_loads_only_numpy():
+    src = os.path.dirname(os.path.dirname(catlab.__file__))
+    code = ("import sys; before = set(sys.modules); import catlab; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "new -= set(sys.stdlib_module_names) | {'catlab', 'numpy'}; "
+            "assert not new, sorted(new)")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_dft_unitary_and_fup_norm_bounds():
