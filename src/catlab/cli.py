@@ -8,6 +8,7 @@ invariant violation.  Errors are also emitted as JSON diagnostics.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -298,61 +299,63 @@ def cmd_up_basic(args):
                 "abs_error": abs(run.fitted_slope - run.theory_slope)})
 
 
+@functools.cache
 def build_parser():
+    """
+    The argument parser, built once per process.  A subcommand's handler
+    is the module-level cmd_<name>, looked up by name on every call so
+    that rebinding it (a test's monkeypatch, a tracer) takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="catlab",
         description="quantum cat map / scarring / Galois / FUP laboratory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, **flags):
+    def add(name, **flags):
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".")
         p.add_argument("--threads", type=int, default=0)
         for flag, spec in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **spec)
-        p.set_defaults(fn=fn)
         return p
 
     mat = {"required": True, "help": "rows ';'-separated, e.g. '2,1;1,1'"}
-    add("check-matrix", cmd_check_matrix, matrix=mat)
-    add("periods", cmd_periods, matrix=mat, k={"type": int, "required": True})
-    add("scar-build", cmd_scar_build, matrix=mat,
-        k={"type": int, "required": True})
-    add("scar-scan", cmd_scar_scan, matrix=mat,
+    add("check-matrix", matrix=mat)
+    add("periods", matrix=mat, k={"type": int, "required": True})
+    add("scar-build", matrix=mat, k={"type": int, "required": True})
+    add("scar-scan", matrix=mat,
         k={"type": int, "required": True},
         window={"type": int, "default": 2})
-    add("scar-density", cmd_scar_density, matrix=mat,
+    add("scar-density", matrix=mat,
         k={"type": int, "required": True},
         center={"action": "store_true"})
-    add("overlap-test", cmd_overlap_test, matrix=mat,
-        count={"type": int, "default": 100})
-    add("lattice-sum", cmd_lattice_sum, matrix=mat,
+    add("overlap-test", matrix=mat, count={"type": int, "default": 100})
+    add("lattice-sum", matrix=mat,
         q={"type": int, "default": 0}, N={"type": int, "default": 144},
         c={"default": ""})
-    add("galois-census", cmd_galois_census,
-        ells={"default": "5,7,11,13"}, n={"type": int, "default": 2})
-    add("galois-certify", cmd_galois_certify,
+    add("galois-census", ells={"default": "5,7,11,13"},
+        n={"type": int, "default": 2})
+    add("galois-certify",
         poly={"required": True, "help": "monic coeffs, high degree first"},
         prime_bound={"type": int, "default": 200})
-    add("galois-sample", cmd_galois_sample,
+    add("galois-sample",
         n={"type": int, "default": 2},
         word_length={"type": int, "default": 20},
         count={"type": int, "default": 500},
         prime_bound={"type": int, "default": 200})
-    add("galois-power-scan", cmd_galois_power_scan, matrix=mat,
+    add("galois-power-scan", matrix=mat,
         m_max={"type": int, "default": 5},
         prime_bound={"type": int, "default": 200})
-    add("sl2-census", cmd_sl2_census, ell={"type": int, "required": True})
-    add("fup-porosity", cmd_fup_porosity,
+    add("sl2-census", ell={"type": int, "required": True})
+    add("fup-porosity",
         depth={"type": int, "default": 6},
         nu={"type": float, "default": 1 / 9},
         alpha0={"type": float, "default": None},
         alpha1={"type": float, "default": 1.0},
         mode={"choices": ["balls", "lines"], "default": "balls"})
-    add("fup-scan", cmd_fup_scan, depths={"default": "4,5,6,7,8,9"})
-    add("up-basic", cmd_up_basic,
-        delta={"type": float, "default": 0.75})
+    add("fup-scan", depths={"default": "4,5,6,7,8,9"})
+    add("up-basic", delta={"type": float, "default": 0.75})
     return parser
 
 
@@ -371,7 +374,7 @@ def main(argv=None):
     if args.subcommand == "fup-porosity" and args.alpha0 is None:
         args.alpha0 = 3.0 ** (-args.depth)
     try:
-        args.fn(args)
+        globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         return 0
     except (ValueError, OverflowError) as exc:
         return _fail(args, exc, "precondition", 2)

@@ -295,8 +295,10 @@ def power_scan(A, m_max, prime_bound=200):
 
 def sl2_census(ell):
     """
-    Brute-force counts of {A in SL(2, F_ell)} bucketed by trace; the
-    count for every trace t is within 2*ell of ell^2 and totals
+    Exact counts of {A in SL(2, F_ell)} bucketed by trace, enumerated in
+    O(ell^2): for each (a, d), the (b, c) with bc = ad - 1 number
+    n_bc[ad - 1], where n_bc[v] = #{(b, c) : bc = v}.  The count for
+    every trace t is within 2*ell of ell^2 and the counts total
     |SL(2, F_ell)| = ell^3 - ell.
     """
     if not _is_odd_prime(ell):
@@ -304,32 +306,25 @@ def sl2_census(ell):
     if ell > 31:
         raise ValueError("census guard exceeded (ell > 31)")
     r = np.arange(ell)
-    a, b, c, d = np.meshgrid(r, r, r, r, indexing="ij")
-    det1 = (a * d - b * c) % ell == 1
-    traces = (a + d) % ell
-    counts = np.bincount(traces[det1].ravel(), minlength=ell)
+    prod = np.outer(r, r) % ell
+    n_bc = np.bincount(prod.ravel(), minlength=ell)
+    traces = (r[:, None] + r) % ell
+    counts = np.zeros(ell, dtype=np.int64)
+    np.add.at(counts, traces.ravel(), n_bc[(prod - 1) % ell].ravel())
     assert counts.sum() == ell ** 3 - ell
     return {int(t): int(counts[t]) for t in range(ell)}
 
 
-def _interleave(block_matrix, n):
-    """Reorders (x1..xn, xi1..xin) block coordinates to interleaved."""
-    perm = []
-    for i in range(n):
-        perm.extend([i, n + i])
-    return block_matrix[np.ix_(perm, perm)]
-
-
 def _shear_pool(n):
-    """All nonzero symmetric n x n 0/1 matrices."""
+    """All nonzero symmetric n x n 0/1 matrices, as lists of rows."""
     pool = []
     positions = [(i, j) for i in range(n) for j in range(i, n)]
     for bits in itertools.product((0, 1), repeat=len(positions)):
         if not any(bits):
             continue
-        S = np.zeros((n, n), dtype=object)
+        S = [[0] * n for _ in range(n)]
         for (i, j), bit in zip(positions, bits):
-            S[i, j] = S[j, i] = bit
+            S[i][j] = S[j][i] = bit
         pool.append(S)
     return pool
 
@@ -353,19 +348,22 @@ def sample_sp(n, word_length, count, seed=0):
     from .symplectic import SymplecticMatrix
     rng = np.random.default_rng(seed)
     pool = _shear_pool(n)
-    I = np.eye(n, dtype=object)
-    Z = np.zeros((n, n), dtype=object)
+    lo, hi = range(n), range(n, 2 * n)
     out = []
     for _ in range(count):
-        A = np.eye(2 * n, dtype=object)
+        # rows of A in block coordinates; columns lo are A_1, hi are A_2
+        A = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
         sign = 1 if rng.integers(2) == 0 else -1
         side = int(rng.integers(2))
         for step in range(word_length):
-            S = sign * pool[int(rng.integers(len(pool)))]
-            if (step + side) % 2 == 0:
-                letter = np.block([[I, S], [Z, I]])
-            else:
-                letter = np.block([[I, Z], [S, I]])
-            A = A @ letter
-        out.append(SymplecticMatrix(_interleave(A, n).tolist()))
+            S = pool[int(rng.integers(len(pool)))]
+            # upper letter: A_2 += sign A_1 S; lower: A_1 += sign A_2 S
+            src, dst = (lo, hi) if (step + side) % 2 == 0 else (hi, lo)
+            for row in A:
+                x = [row[k] for k in src]
+                for col, s_col in zip(dst, S):  # S is symmetric
+                    row[col] += sign * sum(a * b for a, b in zip(x, s_col))
+        perm = [k for i in range(n) for k in (i, n + i)]
+        out.append(SymplecticMatrix([[A[i][j] for j in perm]
+                                     for i in perm]))
     return out

@@ -105,16 +105,18 @@ class LatticeTranslation:
 
     Satisfies the group law U_w U_w' = exp(i sigma(w, w')/2h) U_{w+w'}
     and the commutator relation with phase exp(i sigma(w, w')/h).
+    U_m depends only on m mod 2N, so each entry is reduced to its
+    residue in (-N, N] before the phase is formed in floats.
     """
 
     def __init__(self, space, m):
         space.require_zero_theta()
-        m = tuple(int(v) for v in m)
+        N = space.N
+        m = tuple(N - (N - int(v)) % (2 * N) for v in m)
         if len(m) != 2 * space.n:
             raise ValueError("lattice vector must have length 2n")
         self.space = space
         self.m = m
-        N = space.N
         self._phases = []
         self._shifts = []
         for i in range(space.n):

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import catlab
 from catlab.cli import main, parse_matrix
 
 CAT = "2,1;1,1"
@@ -250,3 +253,43 @@ def test_up_basic(tmp_path):
                  "--out", str(tmp_path)]) == 0
     out = read_json(tmp_path / "up-basic-0.json")
     assert float(out["abs_error"]) < 0.05
+
+
+def test_parser_reuse_keeps_derived_alpha0_per_call(tmp_path):
+    # at nu = 0.3 both depths change verdict or witness with alpha0, so a
+    # 3^-3 left over from the first call would show in the second file
+    argv = ["fup-porosity", "--nu", "0.3", "--out"]
+    src = os.path.dirname(os.path.dirname(catlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for depth, seed in (("3", "0"), ("4", "1")):
+        assert main(argv + [str(tmp_path / "one"), "--depth", depth,
+                            "--seed", seed]) == 0
+        subprocess.run([sys.executable, "-m", "catlab.cli"] + argv
+                       + [str(tmp_path / "own"), "--depth", depth,
+                          "--seed", seed], env=env, check=True)
+    for name in ("fup-porosity-0.json", "fup-porosity-1.json"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "own" / name).read_bytes())
+    assert read_json(tmp_path / "one" / "fup-porosity-1.json")[
+        "counterexample"]["R"] == pytest.approx(0.790123456790123)
+
+
+def test_parser_reuse_honours_rebound_handler(tmp_path, monkeypatch):
+    argv = ["check-matrix", "--matrix", CAT, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(catlab.cli, "cmd_check_matrix", seen.append)
+    assert main(argv + ["--seed", "1"]) == 0
+    assert [a.seed for a in seen] == [1]
+    assert not (tmp_path / "check-matrix-1.json").exists()
+
+
+def test_usage_error_between_valid_calls(tmp_path, capsys):
+    argv = ["sl2-census", "--ell", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(["sl2-census", "--ell", "five"]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "invalid arguments or subcommand"}
+    assert main(argv + ["--seed", "2"]) == 0
+    assert ((tmp_path / "sl2-census-2.csv").read_bytes()
+            == (tmp_path / "sl2-census-0.csv").read_bytes())

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,53 @@ def test_sl2_census_exact():
     assert sum(counts.values()) == ell ** 3 - ell
     for t, c in counts.items():
         assert abs(c - ell ** 2) <= 2 * ell
+
+
+def _sl2_census_by_meshgrid(ell):
+    """The former ell^4 enumeration over all (a, b, c, d), as an oracle."""
+    r = np.arange(ell)
+    a, b, c, d = np.meshgrid(r, r, r, r, indexing="ij")
+    det1 = (a * d - b * c) % ell == 1
+    counts = np.bincount(((a + d) % ell)[det1].ravel(), minlength=ell)
+    return {int(t): int(counts[t]) for t in range(ell)}
+
+
+def test_sl2_census_matches_meshgrid_enumeration():
+    for ell in primes_upto(31)[1:]:
+        assert sl2_census(ell) == _sl2_census_by_meshgrid(ell)
+    with pytest.raises(ValueError):
+        sl2_census(37)
+    tracemalloc.start()
+    try:
+        sl2_census(31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_sample_sp_pinned_words():
+    # recorded from the object-array np.block implementation
+    assert [m.entries for m in sample_sp(2, 20, 3, seed=0)] == [
+        ((4577, -12200, 4038, -7231), (-7336, 19554, -6471, 11588),
+         (5043, -13443, 4449, -7966), (-4143, 11044, -3656, 6546)),
+        ((636, -1452, 7919, -4930), (-372, 851, -4644, 2891),
+         (905, -2069, 11299, -7034), (-434, 991, -5410, 3368)),
+        ((25018, 7236, 23341, 35460), (39823, 11518, 37154, 56445),
+         (19163, 5542, 17872, 27152), (12624, 3651, 11773, 17886))]
+    assert [m.entries for m in sample_sp(3, 20, 2, seed=1)] == [
+        ((69834, 234013, 147639, 111442, 121626, 53779),
+         (123599, 414184, 261306, 197231, 215253, 95187),
+         (44190, 148073, 93416, 70516, 76954, 34027),
+         (100025, 335147, 211438, 159629, 174198, 77009),
+         (30315, 101594, 64094, 48368, 52789, 23351),
+         (25582, 85749, 54103, 40818, 44560, 19714)),
+        ((2032, -14425, 7873, -10191, 3431, -10658),
+         (-7364, 52318, -28539, 36942, -12442, 38624),
+         (3900, -27709, 15115, -19564, 6589, -20457),
+         (-7450, 52911, -28870, 37368, -12583, 39078),
+         (1151, -8151, 4456, -5764, 1938, -6041),
+         (-975, 6900, -3774, 4880, -1640, 5119))]
 
 
 def test_sample_sp_shapes_and_determinism():

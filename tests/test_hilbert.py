@@ -46,6 +46,27 @@ def test_integer_translations_fix_the_space():
         assert np.abs(moved - G.coeffs).max() < 1e-12
 
 
+def test_translation_reduces_m_mod_2N():
+    N = SP.N
+    c = np.random.default_rng(0).standard_normal((3, N)) + 0j
+    for m in [(1, 0), (0, 1), (3, -2), (-5, 7), (N - 1, 1 - N), (N, N)]:
+        for k in range(2):
+            far = list(m)
+            far[k] += 2 * N * 10 ** 4
+            assert np.array_equal(LatticeTranslation(SP, far).apply_array(c),
+                                  LatticeTranslation(SP, m).apply_array(c))
+    # entries near 1e5, as A^-1 j reaches for long words: the group-law
+    # phase must survive products p q near 1e10
+    m1 = (98765, -123457)
+    m2 = (-54321, 67891)
+    U1 = LatticeTranslation(SP, m1).dense()
+    U2 = LatticeTranslation(SP, m2).dense()
+    U12 = LatticeTranslation(SP, (m1[0] + m2[0], m1[1] + m2[1])).dense()
+    s = sigma_lattice(m1, m2)
+    assert np.abs(U1 @ U2 - np.exp(1j * np.pi * (s % (2 * N)) / N)
+                  * U12).max() < 1e-12
+
+
 def test_translation_rejects_off_lattice_and_theta():
     with pytest.raises(ValueError):
         translation(SP, (0.123456, 0.0))
