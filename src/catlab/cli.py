@@ -188,8 +188,10 @@ def cmd_overlap_test(args):
 
 def cmd_lattice_sum(args):
     from . import scars
-    h = 1.0 / (2 * math.pi * args.N)
     c = [float(v) for v in args.c.split(",")] if args.c else [0.0, 0.0]
+    if len(c) != 2 or args.N < 1:
+        raise ValueError("lattice-sum needs N >= 1 and exactly two --c values")
+    h = 1.0 / (2 * math.pi * args.N)
     total, l0, rest = scars.lattice_overlap_sum(
         parse_matrix(args.matrix), args.q, c, h)
     write_json(_out_path(args, "json"),

@@ -345,6 +345,8 @@ def sample_sp(n, word_length, count, seed=0):
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2, or 3")
+    if count < 1:
+        raise ValueError("sample_sp requires count >= 1")
     from .symplectic import SymplecticMatrix
     rng = np.random.default_rng(seed)
     pool = _shear_pool(n)

@@ -16,6 +16,7 @@ last axis; leading axes are a batch of states.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -165,10 +166,7 @@ def egorov_defect(P, window):
     M = P.dense
     Mh = M.conj().T
     worst = 0.0
-    ranges = np.stack(np.meshgrid(
-        *[np.arange(-window, window + 1)] * (2 * space.n),
-        indexing="ij"), axis=-1).reshape(-1, 2 * space.n)
-    for j in ranges:
+    for j in itertools.product(range(-window, window + 1), repeat=2 * space.n):
         UM = LatticeTranslation(space, j).apply_array(M.T).T
         target = LatticeTranslation(space, A_inv.apply(j)).dense()
         worst = max(worst, float(np.abs(Mh @ UM - target).max()))

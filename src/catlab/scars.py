@@ -14,6 +14,7 @@ and semiclassical-measure scans.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -49,14 +50,14 @@ def S1(lam):
 
 
 def _check_overlap_matrix(B):
+    """B, if b = c > 0 and a + d > 2; then a d = 1 + b^2 makes a, d > 0."""
     if not isinstance(B, SymplecticMatrix):
         B = SymplecticMatrix(B)
     ((a, b), (c, d)) = B.entries
     if b != c or b <= 0:
-        raise ValueError("overlap closed form requires a symmetric "
-                         "positive-entry matrix")
+        raise ValueError("the matrix must be symmetric with b = c > 0")
     if a + d <= 2:
-        raise ValueError("overlap closed form requires trace > 2")
+        raise ValueError("the matrix must be hyperbolic (trace > 2)")
     return B
 
 
@@ -152,12 +153,8 @@ def lattice_overlap_sum(B, q, c, h):
 
     With A = B^q = [[p, b], [b, s]] (A = I at q = 0) and a = 1 / (2 h Tr A),
     the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>,
-    p Q(w) = (p w2 - b w1)^2 + w1^2.  The sum runs over the ellipse
-    Q(l + c) <= radius, enumerated row by row in l1, each row widened by
-    one point for the real offset c.  The radius grows until the proven
-    tail bound (see _tail_bound) is at most TORUS_SUM_TOL times the total.
-    Raises ValueError when the rows or the ellipse area pi * radius would
-    exceed TORUS_SUM_LIMIT, rather than truncate.
+    p Q(w) = (p w2 - b w1)^2 + w1^2, summed by _ellipse_sum until its tail
+    bound is at most TORUS_SUM_TOL times the total.
     """
     B = _check_overlap_matrix(B)
     if q < 0:
@@ -168,34 +165,14 @@ def lattice_overlap_sum(B, q, c, h):
     amp = math.sqrt(2.0 / tr)
     c1, c2 = float(c[0]), float(c[1])
 
-    def quad(w1, w2):
-        return ((p * w2 - b * w1) ** 2 + w1 * w1) / p
+    def term(l1, l2):
+        w1, w2 = l1 + c1, l2 + c2
+        return amp * np.exp(-a * (((p * w2 - b * w1) ** 2 + w1 * w1) / p))
 
-    # l = 0 lies inside the first ellipse, so the total is never below it.
-    r = quad(c1, c2) + math.log(1 / TORUS_SUM_TOL) / a
-    while True:
-        R = math.sqrt(p * r)
-        first, last = math.floor(-R - c1), math.ceil(R - c1)
-        bound = _tail_bound(p, a, r, last - first + 1, amp,
-                            "lattice_overlap_sum at q = %d" % q)
-        l1 = np.arange(first, last + 1)
-        w1 = l1 + c1
-        half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
-        lo = np.floor((b * w1 - half) / p - c2)
-        counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
-        starts = np.cumsum(counts) - counts
-        L1 = np.repeat(l1, counts)
-        L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-        terms = amp * np.exp(-a * quad(L1 + c1, L2 + c2))
-        total = float(terms.sum())
-        # total >= the l = 0 term >= e^39 amp exp(-a r), so total is 0
-        # only when bound has underflowed to 0 as well.
-        if bound <= TORUS_SUM_TOL * total:
-            break
-        # one unit of a r beyond the estimate, so that r always grows
-        r += (1 + math.log(bound / (TORUS_SUM_TOL * total))) / a
-    l0 = float(terms[(L1 == 0) & (L2 == 0)][0])
-    return total, l0, total - l0
+    total, l0, _, _ = _ellipse_sum(
+        p, b, a, amp, (c1, c2), term, lambda total: TORUS_SUM_TOL * total,
+        "lattice_overlap_sum at q = %d" % q)
+    return float(total), float(l0), float(total - l0)
 
 
 # Largest grid overlap_quadrature refines to before it raises: the ladder
@@ -209,33 +186,60 @@ TORUS_SUM_LIMIT = 10 ** 6
 TORUS_SUM_TOL = 1e-17
 
 
-def _tail_bound(p, a, r, rows, amp, what):
+def _ellipse_sum(p, b, a, amp, c, term, goal, what):
     """
-    Proven bound on the terms amp exp(-a Q(w)) of a lattice sum,
-    p Q(w) = (p w2 - b w1)^2 + w1^2, that a sum over `rows` rows in w1
-    covering the ellipse Q(w) <= r omits.  Raises ValueError when the rows
-    or the ellipse area pi r exceed TORUS_SUM_LIMIT.
+    Sums term(l1, l2), whose modulus is at most amp exp(-a Q(l + c)),
+    p Q(w) = (p w2 - b w1)^2 + w1^2, over the integer l of the ellipse
+    Q(l + c) <= r, row by row in l1, each row widened by one point for the
+    real offset c; r grows until the tail bound is at most goal(total).
+    Returns (total, the l = 0 term, r, tail bound).  Raises ValueError,
+    naming `what`, when the rows or the area pi r exceed TORUS_SUM_LIMIT.
 
-    In w2 a row is a Gaussian exp(-a p (w2 - b w1 / p)^2) times
-    exp(-a w1^2 / p).  The points a kept row omits lie beyond distance
-    rho on either side, with a p rho^2 = a r - a w1^2 / p, so by
-    sum <= f(rho) + integral and erfc(x) <= exp(-x^2) they add at most
-    exp(-a r) (2 + g) per row, g = sqrt(pi / (a p)).  The rows
-    |w1| > sqrt(p r) add at most exp(-a r) (2 + sqrt(pi p / a)) times the
-    largest full row, 1 + g.  Both hold for any offset of the lattice.
+    The tail bound is proven.  In w2 a row is a Gaussian
+    exp(-a p (w2 - b w1 / p)^2) times exp(-a w1^2 / p).  The points a kept
+    row omits lie beyond distance rho on either side, with
+    a p rho^2 = a r - a w1^2 / p, so by sum <= f(rho) + integral and
+    erfc(x) <= exp(-x^2) they add at most exp(-a r) (2 + g) per row,
+    g = sqrt(pi / (a p)).  The rows |w1| > sqrt(p r) add at most
+    exp(-a r) (2 + sqrt(pi p / a)) times the largest full row, 1 + g.
+    Both hold for any offset of the lattice.
     """
-    if rows > TORUS_SUM_LIMIT or math.pi * r > TORUS_SUM_LIMIT:
-        raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
-                         % (what, r))
+    c1, c2 = c
     g = math.sqrt(math.pi / (a * p))
     far_rows = (2 + math.sqrt(math.pi * p / a)) * (1 + g)
-    return amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
+    # l = 0 lies inside the first ellipse, so the total is never below it.
+    r = (((p * c2 - b * c1) ** 2 + c1 * c1) / p
+         + math.log(1 / TORUS_SUM_TOL) / a)
+    while True:
+        R = math.sqrt(p * r)
+        first, last = math.floor(-R - c1), math.ceil(R - c1)
+        rows = last - first + 1
+        if rows > TORUS_SUM_LIMIT or math.pi * r > TORUS_SUM_LIMIT:
+            raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
+                             % (what, r))
+        bound = amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
+        l1 = np.arange(first, last + 1)
+        w1 = l1 + c1
+        half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
+        lo = np.floor((b * w1 - half) / p - c2).astype(int)
+        counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
+        starts = np.cumsum(counts) - counts
+        L1 = np.repeat(l1, counts)
+        L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+        terms = term(L1, L2)
+        total = terms.sum()
+        # lattice_overlap_sum: total >= the l = 0 term >= e^39 amp
+        # exp(-a r), so goal(total) is 0 only when bound is 0 as well.
+        if bound <= goal(total):
+            return total, terms[(L1 == 0) & (L2 == 0)][0], r, bound
+        # one unit of a r beyond the estimate, so that r always grows
+        r += (1 + math.log(bound / goal(total))) / a
 
 
 @dataclass(frozen=True)
 class TorusAutocorrelation:
     value: complex
-    radius: int        # the sum covers <B^-t l, l> <= radius
+    radius: float      # the sum covers <B^-t l, l> <= radius (a float)
     tail_bound: float  # proven bound on |sum of the omitted terms|
 
 
@@ -250,14 +254,13 @@ def torus_autocorrelation(B, t, N):
     gaussian_autocorrelation is the l = 0 term alone.
 
     With A = B^|t| = [[p, b], [b, s]] and a = pi N / Tr A, the term at l
-    is sqrt(2 / Tr A) exp(-a Q(l)) exp(i pi N <A R l, l> / Tr A), where
-    Q(l) = <A^-1 l, l> is an integer form with p Q(l) = m^2 + l1^2,
-    m = p l2 - b l1.  The sum runs over the exact ellipse Q(l) <= radius,
-    enumerated row by row in l1 in integer arithmetic, with the least
-    radius found whose tail bound is at most TORUS_SUM_TOL times
-    sqrt(2 / Tr A).  Raises ValueError for odd N, and when the rows or
-    the ellipse area pi * radius would exceed TORUS_SUM_LIMIT, rather
-    than truncate.
+    is sqrt(2 / Tr A) exp(-a Q(l)) exp(i pi N <A R l, l> / Tr A), with
+    the integer forms Q(l) = <A^-1 l, l> = s l1^2 - 2 b l1 l2 + p l2^2 and
+    N <A R l, l> mod 2 Tr A evaluated exactly.  _ellipse_sum sums the
+    terms until its tail bound is at most TORUS_SUM_TOL times
+    sqrt(2 / Tr A).  Raises ValueError for odd N, for 2 Tr A >= 2^56
+    (beyond int64 arithmetic), and when the sum would exceed
+    TORUS_SUM_LIMIT.
     """
     B = _check_overlap_matrix(B)
     if N <= 0 or N % 2 != 0:
@@ -266,31 +269,30 @@ def torus_autocorrelation(B, t, N):
     tr = p + s
     a = math.pi * N / tr
     amp = math.sqrt(2.0 / tr)
+    T = 2 * tr
+    if T >= 2 ** 56:
+        raise ValueError("torus_autocorrelation needs 2 Tr B^t < 2^56")
 
-    def tail(r):
-        return _tail_bound(p, a, r, 2 * math.isqrt(p * r) + 1, amp,
-                           "torus_autocorrelation at t = %d, N = %d" % (t, N))
+    def mul(x, y):
+        # x y mod T.  For int64 |x|, |y| < 2^56 the float quotient q is
+        # within |x y| 2^-50 + 1 of x y / T, so x y - q T fits int64 and
+        # the wrapping int64 products give it exactly.
+        q = np.floor(np.multiply(x, y, dtype=float) / T).astype(np.int64)
+        return (x * y - q * T) % T
 
-    target = TORUS_SUM_TOL * amp
-    r = math.ceil(math.log(1 / TORUS_SUM_TOL) / a)
-    bound = tail(r)
-    while bound > target:
-        r += math.ceil(math.log(bound / target) / a)
-        bound = tail(r)
+    def term(l1, l2):
+        # Q(l) < 2^63, so int64 products that wrap still give it exactly
+        quad = s * l1 * l1 - 2 * b * l1 * l2 + p * l2 * l2
+        # N <A R l, l> = N (b (l2^2 - l1^2) + (p - s) l1 l2) mod 2 Tr A
+        form = (mul(b, mul(l2, l2) - mul(l1, l1))
+                + mul(p - s, mul(l1, l2))) % T
+        phase = mul(N % T, form)
+        return amp * np.exp(-a * quad + 1j * np.pi * phase / tr)
 
-    quad, phase = [], []
-    L = math.isqrt(p * r)
-    for l1 in range(-L, L + 1):
-        w = math.isqrt(p * r - l1 * l1)
-        for l2 in range(-((w - b * l1) // p), (b * l1 + w) // p + 1):
-            m = p * l2 - b * l1
-            quad.append((m * m + l1 * l1) // p)
-            # <A R l, l>, reduced so that pi N <A R l, l> / Tr A is exact
-            form = -b * l1 * l1 + (p - s) * l1 * l2 + b * l2 * l2
-            phase.append(N * form % (2 * tr))
-    quad = np.array(quad, dtype=float)
-    phase = np.array(phase, dtype=float)
-    value = complex(amp * np.sum(np.exp(-a * quad + 1j * np.pi * phase / tr)))
+    total, _, r, bound = _ellipse_sum(
+        p, b, a, amp, (0.0, 0.0), term, lambda total: TORUS_SUM_TOL * amp,
+        "torus_autocorrelation at t = %d, N = %d" % (t, N))
+    value = complex(total)
     if t < 0:
         value = value.conjugate()
     return TorusAutocorrelation(value=value, radius=r, tail_bound=bound)
@@ -316,12 +318,7 @@ def make_scar_config(B, k):
     Validates admissibility and the orbit's size (SCAR_MAX_BYTES), and
     measures the period phase.
     """
-    if not isinstance(B, SymplecticMatrix):
-        B = SymplecticMatrix(B)
-    ((a, b), (c, d)) = B.entries
-    if b != c or min(a, b, c, d) <= 0 or a + d <= 2:
-        raise ValueError("scar construction requires a hyperbolic, "
-                         "symmetric, positive-entry matrix")
+    B = _check_overlap_matrix(B)
     nk = admissible_N(B, k)
     if not nk.admissible:
         raise ValueError("index k = %d is not admissible for trace %d"
@@ -465,13 +462,10 @@ def semiclassical_scan(scar, window):
     with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2.
     """
     norm2 = scar.norm_squared()
-    rng = range(-window, window + 1)
-    lattice = [(j1, j2) for j1 in rng for j2 in rng]
     rows = []
-    for j in lattice:
-        for k in lattice:
-            ratio = scar.matrix_element(j, k) / norm2
-            target = measure_target(j, k)
-            rows.append((j[0], j[1], k[0], k[1], ratio, target,
-                         abs(ratio - target)))
+    for j1, j2, k1, k2 in itertools.product(range(-window, window + 1),
+                                            repeat=4):
+        ratio = scar.matrix_element((j1, j2), (k1, k2)) / norm2
+        target = measure_target((j1, j2), (k1, k2))
+        rows.append((j1, j2, k1, k2, ratio, target, abs(ratio - target)))
     return rows

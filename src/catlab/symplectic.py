@@ -214,6 +214,8 @@ def admissible_N(A, k):
     tr = A.trace()
     if A.n != 1 or tr <= 2:
         raise ValueError("admissible_N requires a hyperbolic SL(2,Z) matrix")
+    if k < 0:
+        raise ValueError("admissible_N requires k >= 0")
     prev, cur = 0, 1
     for _ in range(k - 1):
         prev, cur = cur, tr * cur - prev

@@ -184,6 +184,23 @@ def test_lattice_sum(tmp_path):
     assert abs(float(out["sum"]) - math.sqrt(2.0 / 7.0)) < 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice-sum", "--matrix", CAT, "--c", "0.1"],
+    ["lattice-sum", "--matrix", CAT, "--c", "0.1,0.2,0.3"],
+    ["lattice-sum", "--matrix", CAT, "--N", "0"],
+    ["periods", "--matrix", CAT, "--k", "-1"],
+    ["scar-build", "--matrix", CAT, "--k", "-6"],
+    ["galois-sample", "--count", "0"],
+])
+def test_bad_arguments_exit_two(tmp_path, capsys, argv):
+    # a --c without exactly two values, N < 1, k < 0 and count < 1 are
+    # preconditions: exit 2 with a JSON diagnostic, never a traceback
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = read_json(tmp_path / ("%s-0.json" % argv[0]))
+    assert out["kind"] == "precondition"
+    assert json.loads(capsys.readouterr().err) == out
+
+
 def test_galois_certify(tmp_path):
     assert main(["galois-certify", "--poly", "1,-3,1",
                  "--out", str(tmp_path)]) == 0

@@ -175,9 +175,81 @@ def test_torus_autocorrelation_matches_propagator():
         torus_autocorrelation(B_CAT, 40, 34)  # beyond TORUS_SUM_LIMIT
 
 
+def test_lattice_overlap_sum_pinned_bits():
+    # float.hex of (total, l0_term, rest): the README example, an offset
+    # case with b = 3, and an offset case with many lattice points
+    cases = [
+        ([[2, 1], [1, 1]], 2, 144, (0.0, 0.0),
+         ["0x1.11acee560242ap-1", "0x1.11acee560242ap-1", "0x0.0p+0"]),
+        ([[2, 3], [3, 5]], 2, 144, (0.2981, 0.157),
+         ["0x1.76e30bc77966dp-5", "0x1.879b83abb7cd5p-22",
+          "0x1.76e247f9b790fp-5"]),
+        ([[2, 1], [1, 1]], 6, 144, (0.3, -0.2),
+         ["0x1.6a14f5ae2ed1ep-3", "0x1.22c5737d2e6e1p-74",
+          "0x1.6a14f5ae2ed1ep-3"]),
+    ]
+    for B, q, N, c, bits in cases:
+        h = 1.0 / (2 * math.pi * N)
+        got = lattice_overlap_sum(B, q, c, h)
+        assert [v.hex() for v in got] == bits
+
+
+def _reference_autocorrelation(B, t, N):
+    """
+    The Python-int double loop that torus_autocorrelation replaced: the
+    exact ellipse Q(l) <= r for the least integer r found whose tail
+    bound is at most TORUS_SUM_TOL times sqrt(2 / Tr A).
+    """
+    ((p, b), (_, s)) = B.power(abs(t)).entries
+    tr = p + s
+    a = math.pi * N / tr
+    amp = math.sqrt(2.0 / tr)
+    g = math.sqrt(math.pi / (a * p))
+    far_rows = (2 + math.sqrt(math.pi * p / a)) * (1 + g)
+
+    def tail(r):
+        rows = 2 * math.isqrt(p * r) + 1
+        return amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
+
+    target = TORUS_SUM_TOL * amp
+    r = math.ceil(math.log(1 / TORUS_SUM_TOL) / a)
+    while tail(r) > target:
+        r += math.ceil(math.log(tail(r) / target) / a)
+    quad, phase = [], []
+    L = math.isqrt(p * r)
+    for l1 in range(-L, L + 1):
+        w = math.isqrt(p * r - l1 * l1)
+        for l2 in range(-((w - b * l1) // p), (b * l1 + w) // p + 1):
+            m = p * l2 - b * l1
+            quad.append((m * m + l1 * l1) // p)
+            form = -b * l1 * l1 + (p - s) * l1 * l2 + b * l2 * l2
+            phase.append(N * form % (2 * tr))
+    quad = np.array(quad, dtype=float)
+    phase = np.array(phase, dtype=float)
+    value = complex(amp * np.sum(np.exp(-a * quad + 1j * np.pi * phase / tr)))
+    return value.conjugate() if t < 0 else value
+
+
+def test_torus_autocorrelation_matches_reference_loop():
+    # N = 34 up to t = 13, the largest t below TORUS_SUM_LIMIT.  At
+    # N = 10^6, t = 18 the products N b l1^2 reach 2e23; at N = 10^9,
+    # t = 22 the residue products (2 Tr A)^2 = 1e19 overflow int64 too.
+    for N, ts in [(34, range(14)), (10 ** 6, (16, 18)), (10 ** 9, (22,))]:
+        for t in ts:
+            got = torus_autocorrelation(B_CAT, t, N)
+            assert abs(got.value - _reference_autocorrelation(B_CAT, t, N)) \
+                <= 1e-15
+    with pytest.raises(ValueError):
+        torus_autocorrelation(B_CAT, 14, 34)
+    with pytest.raises(ValueError, match="2\\^56"):
+        torus_autocorrelation(B_CAT, 41, 10 ** 24)
+
+
 def test_make_scar_config_validation():
     with pytest.raises(ValueError):
         make_scar_config([[2, 3], [1, 2]], 6)  # not symmetric
+    with pytest.raises(ValueError):
+        make_scar_config([[-2, 1], [1, -1]], 6)  # trace -3
     with pytest.raises(ValueError):
         make_scar_config(B_CAT, 4)  # odd trace needs k = 0 mod 6
 
