@@ -1,21 +1,30 @@
 """
 Runs every `catlab ...` line of the README's example block in-process
 against the catlab package of a source tree, writing the artifacts into
-one output directory.
+one output directory, and optionally compares them with a reference
+directory.
 
-    python scripts/readme_examples.py SRC OUT
+    python scripts/readme_examples.py SRC OUT [REF]
 
 SRC is a checkout of this repository (its package is SRC/src/catlab);
 the command lines always come from the README next to this script, so
-two checkouts run the same examples.  Exits 1 when any example exits
-nonzero or the README has none.  The byte-identity check of a change is
-then
+two checkouts run the same examples.  With REF (the OUT of an earlier
+run), every artifact is compared byte for byte with its namesake in
+REF.  For a CSV or JSON that differs, the largest absolute difference of
+each numeric field is printed; any other difference (a missing or extra
+file, a changed header, key or string, a non-finite difference, or a
+differing PGM) is reported as non-numeric.  Exits 1 when any example
+exits nonzero, the README has none, or a non-numeric difference is
+found.  The byte-identity check of a change is then
 
     python scripts/readme_examples.py OLD_CHECKOUT old
-    python scripts/readme_examples.py . new
-    diff -r old new
+    python scripts/readme_examples.py . new old
 """
 
+import csv
+import itertools
+import json
+import math
 import os
 import shlex
 import sys
@@ -37,11 +46,85 @@ def example_lines():
     return lines
 
 
+def _leaves(path):
+    """(field, value) pairs: CSV cells by column, JSON leaves by key path."""
+    if path.endswith(".csv"):
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f)) or [[]]
+        return [(name, v) for row in rows
+                for name, v in itertools.zip_longest(header, row)]
+    with open(path) as f:
+        return _json_leaves(json.load(f), "")
+
+
+def _json_leaves(v, path):
+    """List indices are one field, "name[]"; an empty container is a leaf."""
+    if isinstance(v, dict) and v:
+        return [leaf for k in sorted(v)
+                for leaf in _json_leaves(v[k], path + "." + k if path else k)]
+    if isinstance(v, list) and v:
+        return [leaf for x in v for leaf in _json_leaves(x, path + "[]")]
+    return [(path, v)]
+
+
+def _numeric_diff(a, b):
+    """|a - b| for two numbers or numeric strings, else None."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        d = abs(float(a) - float(b))
+    except (TypeError, ValueError):
+        return None
+    return d if math.isfinite(d) else None
+
+
+def compare(out, ref):
+    """Prints how OUT differs from REF; returns True when only numbers do."""
+    names = sorted(set(os.listdir(out)) | set(os.listdir(ref)))
+    ok = True
+    for name in names:
+        new, old = os.path.join(out, name), os.path.join(ref, name)
+        if not (os.path.isfile(new) and os.path.isfile(old)):
+            print("only in %s: %s" % (out if os.path.isfile(new) else ref,
+                                      name))
+            ok = False
+            continue
+        with open(new, "rb") as f, open(old, "rb") as g:
+            if f.read() == g.read():
+                continue
+        fields, other = {}, set()
+        if not name.endswith((".csv", ".json")):
+            other.add("bytes")
+        else:
+            a, b = _leaves(new), _leaves(old)
+            if [f for f, _ in a] != [f for f, _ in b]:
+                other.add("fields or shape")
+            else:
+                for (field, x), (_, y) in zip(a, b):
+                    if x == y:
+                        continue
+                    d = _numeric_diff(x, y)
+                    if d is None:
+                        other.add(str(field))
+                    else:
+                        fields[field] = max(fields.get(field, 0.0), d)
+        print("differs: %s" % name)
+        for field, d in sorted(fields.items()):
+            print("  %s: max |diff| = %.3g" % (field, d))
+        for what in sorted(other):
+            print("  non-numeric difference: %s" % what)
+        ok = ok and not other
+    print("%d artifacts compared, %s" % (
+        len(names), "no non-numeric difference" if ok
+        else "non-numeric differences found"))
+    return ok
+
+
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) not in (2, 3):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src, out = argv
+    src, out = argv[:2]
     pkg = os.path.join(os.path.abspath(src), "src")
     sys.path.insert(0, pkg)
     import catlab.cli
@@ -55,6 +138,8 @@ def main(argv):
         rc = catlab.cli.main(shlex.split(line)[1:] + ["--out", out])
         print("rc=%d  %s" % (rc, line))
         failed += rc != 0
+    if len(argv) == 3 and not compare(out, argv[2]):
+        failed += 1
     return 1 if failed or not lines else 0
 
 

@@ -31,12 +31,18 @@ def parse_matrix(text):
 
 
 def _atomic_write(path, data, binary=False):
+    _atomic_write_chunks(path, [data], binary)
+
+
+def _atomic_write_chunks(path, chunks, binary=False):
+    """Writes each chunk to a temp file as it is produced, then renames."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d)
     try:
         with os.fdopen(fd, "wb" if binary else "w") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,15 +72,21 @@ def write_csv(path, header, rows):
 
 
 def write_pgm(path, row_iter, shape, maxval):
-    """8-bit P5 PGM, max-normalized; row_iter yields float rows."""
+    """
+    8-bit P5 PGM, max-normalized; row_iter yields float rows, each written
+    as it is produced, so no N x N image is held.
+    """
     header = ("P5\n# max-normalized density, original max %.17g\n%d %d\n255\n"
               % (maxval, shape[1], shape[0]))
-    chunks = [header.encode()]
     scale = 255.0 / maxval if maxval > 0 else 0.0
-    for row in row_iter:
-        chunks.append(np.clip(np.round(row * scale), 0, 255)
-                      .astype(np.uint8).tobytes())
-    _atomic_write(path, b"".join(chunks), binary=True)
+
+    def chunks():
+        yield header.encode()
+        for row in row_iter:
+            yield (np.clip(np.round(row * scale), 0, 255)
+                   .astype(np.uint8).tobytes())
+
+    _atomic_write_chunks(path, chunks(), binary=True)
 
 
 def _out_path(args, ext):
@@ -156,10 +168,12 @@ def cmd_scar_density(args):
         maxval = max(maxval, float(row.max()))
     write_pgm(_out_path(args, "pgm"), rows(), (N, N), maxval)
     if N <= 1024:
-        out = []
+        # the bytes write_csv gives (ints, then floats at 17 digits)
+        lines = ["j1,j2,density\n"]
         for j1, row in enumerate(rows()):
-            out.extend((j1, j2, float(v)) for j2, v in enumerate(row))
-        write_csv(_out_path(args, "csv"), ["j1", "j2", "density"], out)
+            lines.extend("%d,%d,%.17g\n" % (j1, j2, v)
+                         for j2, v in enumerate(row.tolist()))
+        _atomic_write(_out_path(args, "csv"), "".join(lines))
 
 
 def cmd_overlap_test(args):

@@ -347,6 +347,8 @@ def sample_sp(n, word_length, count, seed=0):
         raise ValueError("n must be 1, 2, or 3")
     if count < 1:
         raise ValueError("sample_sp requires count >= 1")
+    if word_length < 0:
+        raise ValueError("sample_sp requires word_length >= 0")
     from .symplectic import SymplecticMatrix
     rng = np.random.default_rng(seed)
     pool = _shear_pool(n)

@@ -88,6 +88,11 @@ def _dense_matrix(apply_array, dim, what):
     return out
 
 
+def _lattice_residue(m, N):
+    """Each entry of the integer vector m reduced mod 2N into (-N, N]."""
+    return tuple(N - (N - int(v)) % (2 * N) for v in m)
+
+
 def sigma_lattice(m1, m2):
     """sigma(m1, m2) for integer interleaved vectors, exact."""
     n = len(m1) // 2
@@ -112,7 +117,7 @@ class LatticeTranslation:
     def __init__(self, space, m):
         space.require_zero_theta()
         N = space.N
-        m = tuple(N - (N - int(v)) % (2 * N) for v in m)
+        m = _lattice_residue(m, N)
         if len(m) != 2 * space.n:
             raise ValueError("lattice vector must have length 2n")
         self.space = space
@@ -121,8 +126,9 @@ class LatticeTranslation:
         self._shifts = []
         for i in range(space.n):
             p, q = m[2 * i], m[2 * i + 1]
+            # the phase pi (2 q j - p q) / N, reduced mod 2 pi in integers
             j = np.arange(N)
-            ph = np.exp(2j * np.pi * q * j / N - 1j * np.pi * p * q / N)
+            ph = np.exp(1j * np.pi * ((2 * q * j - p * q) % (2 * N)) / N)
             self._phases.append(ph)
             self._shifts.append(p)
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import hilbert
-from .hilbert import LatticeTranslation, QuantumState, StateSpace
+from .hilbert import QuantumState, StateSpace, _lattice_residue
 from .metaplectic import metaplectic_sl2, period_phase
 from .symplectic import SymplecticMatrix, admissible_N, quantum_period
 
@@ -316,7 +316,7 @@ SCAR_MAX_BYTES = 2 * 2 ** 30
 def make_scar_config(B, k):
     """
     Validates admissibility and the orbit's size (SCAR_MAX_BYTES), and
-    measures the period phase.
+    measures the period phase from M^P e_0; ScarEnsemble checks it on G_N.
     """
     B = _check_overlap_matrix(B)
     nk = admissible_N(B, k)
@@ -332,16 +332,60 @@ def make_scar_config(B, k):
         raise ValueError("the P x N = %d x %d complex scar orbit needs %d "
                          "bytes, above SCAR_MAX_BYTES = %d"
                          % (P, N, need, SCAR_MAX_BYTES))
-    space = StateSpace(1, N)
-    M = metaplectic_sl2(space, B)
-    G = hilbert.project_gaussian(space)
-    pp = period_phase(M, P, probes=[G.coeffs])
+    M = metaplectic_sl2(StateSpace(1, N), B)
+    pp = period_phase(M, P)
     return ScarConfig(B=B, k=k, N=N, P=P, phi=pp.phi,
                       lam=leading_eigenvalue(B))
 
 
-# Rows of U V per block in ScarEnsemble._dmat.
-_DMAT_ROWS = 8
+# Columns of V per chunk in _translation_grams.
+_DMAT_COLS = 1024
+
+
+def _columns(V, start, count):
+    """V[:, (start + arange(count)) mod N]; a view unless it wraps."""
+    N = V.shape[1]
+    start %= N
+    if start + count <= N:
+        return V[:, start:start + count]
+    return np.concatenate((V[:, start:], V[:, :start + count - N]), axis=1)
+
+
+def _translation_grams(V, ms):
+    """
+    [D_m for m in ms], D_m[t, s] = <U_{m/N} v_t, v_s> for the rows v_t of
+    the P x N array V and residues m = (p, q) in (-N, N]^2.  Since
+    (U_m v)[i] = e^{i pi (2 q i - p q) / N} v[i - p],
+
+        D_m = e^{-i pi p q / N} sum over column chunks c of
+              V[:, c - p] @ (conj(V[:, c]) e^{2 pi i q c / N})^T,
+
+    one pass over chunks of _DMAT_COLS columns that phases conj(V) once
+    per distinct q, gathers the shifted columns once per distinct p and
+    runs one P x P GEMM per m.  Phases are reduced mod 2N in integers
+    before the exp.  The work arrays hold (#q + 1) chunks, never a P x N
+    copy.
+    """
+    P, N = V.shape
+    acc = {m: np.zeros((P, P), dtype=np.complex128) for m in ms}
+    ps = sorted({p for p, _ in ms})
+    qs = sorted({q for _, q in ms})
+    conj = np.empty((P, _DMAT_COLS), dtype=np.complex128)
+    phased = np.empty((len(qs), P, _DMAT_COLS), dtype=np.complex128)
+    for lo in range(0, N, _DMAT_COLS):
+        cols = min(_DMAT_COLS, N - lo)
+        i = np.arange(lo, lo + cols)
+        cv = np.conj(V[:, lo:lo + cols], out=conj[:, :cols])
+        for row, q in zip(phased, qs):
+            np.multiply(cv, np.exp(1j * np.pi * (2 * q * i % (2 * N)) / N),
+                        out=row[:, :cols])
+        for p in ps:
+            shifted = _columns(V, lo - p, cols)
+            for row, q in zip(phased, qs):
+                if (p, q) in acc:
+                    acc[p, q] += shifted @ row[:, :cols].T
+    return [np.exp(-1j * np.pi * (p * q % (2 * N)) / N) * acc[p, q]
+            for p, q in ms]
 
 
 class ScarEnsemble:
@@ -356,16 +400,21 @@ class ScarEnsemble:
         # M^s G_N is generated; negative times use M^t = e^{-i phi} M^{t+P}.
         # Only V is held, one P x N array.
         V = np.empty((P, N), dtype=np.complex128)
-        g = hilbert.project_gaussian(self.space).coeffs
+        G = hilbert.project_gaussian(self.space).coeffs
+        g = G
         for s in range(P):
-            if s > 0:
-                g = M.apply_array(g)
             i = (s + P // 2) % P
             t = i - P // 2
             if t >= 0:
                 V[i] = np.exp(-1j * phi * t / P) * g
             else:
                 V[i] = np.exp(-1j * phi * t / P - 1j * phi) * g
+            g = M.apply_array(g)
+        # g = M^P G_N closes the orbit: the period-phase check on G_N.
+        defect = float(np.abs(g - np.exp(1j * phi) * G).max())
+        if defect > 1e-6:  # period_phase's default tolerance
+            raise AssertionError("M^P G_N is not e^{i phi} G_N (defect %.3e)"
+                                 % defect)
         self.V = V
         # w_{i - P/2} = v at index (i + P/2) mod P
         self.wperm = (np.arange(P) + P // 2) % P
@@ -390,28 +439,33 @@ class ScarEnsemble:
         space2 = StateSpace(2, self.N)
         return QuantumState(space2, u / math.sqrt(self.P))
 
+    def _dmats_of(self, js):
+        """
+        [D_j for j in js], D[t, s] = <U_{j/N} v_t, v_s> for lattice
+        2-vectors j, cached by j mod 2N.  Every missing D is filled in one
+        _translation_grams pass; U_{-j} = U_j^dagger, so of each +-j pair
+        only one is computed and the other is its conjugate transpose.
+        """
+        N = self.N
+        keys = [_lattice_residue(j, N) for j in js]
+        todo = {}
+        for m in keys:
+            if m not in self._dmats:
+                neg = _lattice_residue((-m[0], -m[1]), N)
+                todo[max(m, neg)] = min(m, neg)
+        if todo:
+            for m, D in zip(todo, _translation_grams(self.V, list(todo))):
+                self._dmats[todo[m]] = D.conj().T
+                self._dmats[m] = D
+        return [self._dmats[m] for m in keys]
+
     def _dmat(self, j):
         """D[t, s] = <U_{j/N} v_t, v_s> for a 2-vector lattice j."""
-        j = (int(j[0]), int(j[1]))
-        if j not in self._dmats:
-            U = LatticeTranslation(self.space, j)
-            V, P, N = self.V, self.P, self.N
-            # conj(D) = conj(U V) @ V^T, in blocks of _DMAT_ROWS rows of
-            # U V, so that neither U V nor conj(V) is held as a P x N copy.
-            D = np.empty((P, P), dtype=np.complex128)
-            block = np.empty((min(P, _DMAT_ROWS), N), dtype=np.complex128)
-            for lo in range(0, P, _DMAT_ROWS):
-                rows = block[:min(_DMAT_ROWS, P - lo)]
-                for r, v in enumerate(V[lo:lo + len(rows)]):
-                    np.conj(U.apply_array(v), out=rows[r])
-                np.conj(rows @ V.T, out=D[lo:lo + len(rows)])
-            self._dmats[j] = D
-        return self._dmats[j]
+        return self._dmats_of([j])[0]
 
     def matrix_element(self, j, k):
         """<(U_{j/N} (x) U_{k/N}) u, u> without forming the N^2 tensor."""
-        Dj = self._dmat(j)
-        Dk = self._dmat(k)
+        Dj, Dk = self._dmats_of([j, k])
         Dkw = Dk[self.wperm][:, self.wperm]
         return complex(np.sum(Dj * Dkw) / self.P)
 
@@ -461,10 +515,11 @@ def semiclassical_scan(scar, window):
     Rows (j1, j2, k1, k2, ratio, target, error) over all lattice pairs
     with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2.
     """
+    lattice = list(itertools.product(range(-window, window + 1), repeat=2))
+    scar._dmats_of(lattice)  # the whole window in one pass over V
     norm2 = scar.norm_squared()
     rows = []
-    for j1, j2, k1, k2 in itertools.product(range(-window, window + 1),
-                                            repeat=4):
+    for (j1, j2), (k1, k2) in itertools.product(lattice, repeat=2):
         ratio = scar.matrix_element((j1, j2), (k1, k2)) / norm2
         target = measure_target((j1, j2), (k1, k2))
         rows.append((j1, j2, k1, k2, ratio, target, abs(ratio - target)))

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import catlab
-from catlab.cli import main, parse_matrix
+from catlab.cli import main, parse_matrix, write_pgm
 
 CAT = "2,1;1,1"
 BLOCK = "0,0,2,1;0,0,1,1;-2,-1,0,0;-1,-1,0,0"
@@ -159,6 +161,31 @@ def test_scar_density(tmp_path):
     assert len(csv_lines) == 1 + 144 * 144
 
 
+def test_write_pgm_streams_rows(tmp_path):
+    # Each row goes to the file as it is produced: the peak stays far
+    # below the N^2 bytes of the image, and the bytes are the header
+    # followed by the quantized rows.
+    N = 2048
+
+    def rows():
+        for j in range(N):
+            yield np.linspace(0.0, 2.0 * j / N, N)
+
+    tracemalloc.start()
+    try:
+        write_pgm(str(tmp_path / "d.pgm"), rows(), (N, N), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N / 4
+    header = (b"P5\n# max-normalized density, original max 2\n%d %d\n255\n"
+              % (N, N))
+    expected = header + b"".join(
+        np.clip(np.round(row * 127.5), 0, 255).astype(np.uint8).tobytes()
+        for row in rows())
+    assert (tmp_path / "d.pgm").read_bytes() == expected
+
+
 def test_overlap_test_deterministic(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
@@ -191,10 +218,12 @@ def test_lattice_sum(tmp_path):
     ["periods", "--matrix", CAT, "--k", "-1"],
     ["scar-build", "--matrix", CAT, "--k", "-6"],
     ["galois-sample", "--count", "0"],
+    ["galois-sample", "--word-length", "-1", "--count", "2"],
 ])
 def test_bad_arguments_exit_two(tmp_path, capsys, argv):
-    # a --c without exactly two values, N < 1, k < 0 and count < 1 are
-    # preconditions: exit 2 with a JSON diagnostic, never a traceback
+    # a --c without exactly two values, N < 1, k < 0, count < 1 and a
+    # negative word length are preconditions: exit 2 with a JSON
+    # diagnostic, never a traceback
     assert main(argv + ["--out", str(tmp_path)]) == 2
     out = read_json(tmp_path / ("%s-0.json" % argv[0]))
     assert out["kind"] == "precondition"

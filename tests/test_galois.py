@@ -219,6 +219,8 @@ def test_sample_sp_shapes_and_determinism():
                                   for i in range(4))
     with pytest.raises(ValueError):
         sample_sp(4, 10, 1)
+    with pytest.raises(ValueError, match="word_length"):
+        sample_sp(2, -1, 1)
 
 
 def test_sampled_matrices_certify_at_high_rate():

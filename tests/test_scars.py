@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -274,7 +275,7 @@ def test_factored_matches_materialized(scar6):
 
 def test_ensemble_holds_one_orbit_array(scar12):
     # Building the ensemble and its matrix elements allocates at most the
-    # P x N array V plus row blocks and length-N FFT work arrays: no
+    # P x N array V plus column chunks and length-N FFT work arrays: no
     # second orbit array, no P x N copy of U V or conj(V).
     tracemalloc.start()
     try:
@@ -285,6 +286,79 @@ def test_ensemble_holds_one_orbit_array(scar12):
         tracemalloc.stop()
     assert abs(me - scar12.matrix_element((1, 2), (0, -1))) < 1e-12
     assert peak < 1.5 * scar.V.nbytes
+
+
+def _reference_dmat(scar, j):
+    """
+    The per-j D_j that the window kernel replaced: U_{j/N} applied to each
+    row of V, then conj(D) = conj(U V) @ V^T in blocks of 8 rows.
+    """
+    U = LatticeTranslation(scar.space, j)
+    V, P = scar.V, scar.P
+    D = np.empty((P, P), dtype=np.complex128)
+    for lo in range(0, P, 8):
+        rows = np.conj(U.apply_array(V[lo:lo + 8]))
+        D[lo:lo + len(rows)] = np.conj(rows @ V.T)
+    return D
+
+
+WINDOW2 = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+@pytest.mark.parametrize("fixture", ["scar6", "scar12"])
+def test_window_kernel_matches_per_j_reference(fixture, request):
+    # One pass fills the window and far vectors, whose entries reduce mod
+    # 2N to large residues (at N = 46368, (98765, -123457) is
+    # (6029, -30721)), and (N, N), which is its own negative.
+    scar = build_scar(request.getfixturevalue(fixture).config)
+    N = scar.N
+    far = [(7, -3), (98765, -123457), (-98765, 123457), (N, N), (3 * N, -N)]
+    Ds = scar._dmats_of(WINDOW2 + far)
+    for j, D in zip(WINDOW2 + far, Ds):
+        assert np.abs(D - _reference_dmat(scar, j)).max() <= 1e-13, j
+    # U_{-j} = U_j^dagger: one of each pair is computed, the other is
+    # its conjugate transpose
+    for j in WINDOW2 + far[:2]:
+        Dj, Dneg = scar._dmats_of([j, (-j[0], -j[1])])
+        if j != (0, 0):
+            assert np.array_equal(Dneg, Dj.conj().T)
+    assert scar._dmat((N + 2, -N - 1)) is scar._dmat((-N + 2, N - 1))
+
+
+def test_window_kernel_memory(scar12):
+    # The k = 12 window-2 set is filled from column chunks: its work
+    # arrays stay far below one P x N array.
+    scar = build_scar(scar12.config)
+    tracemalloc.start()
+    try:
+        scar._dmats_of(WINDOW2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * scar.V.nbytes
+
+
+def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
+    passes = []
+    grams = catlab.scars._translation_grams
+
+    def counted(V, ms):
+        passes.append(len(ms))
+        return grams(V, ms)
+
+    monkeypatch.setattr(catlab.scars, "_translation_grams", counted)
+    scar = build_scar(scar6.config)
+    rows = semiclassical_scan(scar, 2)
+    assert passes == [13]  # 25 vectors, 12 +- pairs and j = 0
+    # each D_j is the same whatever else its pass filled
+    assert rows == semiclassical_scan(scar6, 2)
+
+
+def test_build_scar_checks_the_period_phase(scar6):
+    # The orbit's closing apply checks M^P G_N = e^{i phi} G_N.
+    cfg = scar6.config
+    with pytest.raises(AssertionError, match="M\\^P G_N"):
+        build_scar(dataclasses.replace(cfg, phi=cfg.phi + 0.1))
 
 
 def test_scar_is_tensor_eigenfunction(scar6, tensor144):
