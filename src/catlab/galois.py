@@ -7,6 +7,15 @@ S_2 wr S_n.  A squarefree factorization mod ell whose pattern is one
 irreducible factor of degree 2k times distinct linear factors witnesses
 a (2k)-cycle of Frobenius; collecting the classes {2, 4, 2n-2, 2n}
 (as a set of distinct values) certifies the full wreath product.
+
+The witness class is read from the structure of the wreath product:
+f(x) = x^n g(x + 1/x) with g of degree n (_trace_poly), S_n permutes
+the roots of g and each S_2 swaps x and 1/x above one of them.  So mod
+ell the roots y of g and Legendre symbols of y^2 - 4 and of h(2) h(-2),
+h the cofactor of g's roots, decide the class (_reciprocal_class)
+without factoring f; factor_type is only needed for a cofactor of
+degree >= 4.  factor_type stays the general engine and the tests'
+oracle.
 """
 
 from dataclasses import dataclass
@@ -17,6 +26,8 @@ import numpy as np
 
 
 def primes_upto(bound):
+    if bound < 0:
+        raise ValueError("prime bound must be >= 0")
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(bound ** 0.5) + 1):
@@ -143,15 +154,91 @@ def factor_type(coeffs, ell):
                      squarefree=all(m == 1 for _, m in parts))
 
 
-def _witness_class(ctype, two_n):
-    """2k when the pattern is one degree-2k factor times distinct linears."""
-    if not ctype.squarefree:
+def _trace_poly(coeffs):
+    """
+    The integer g, high degree first, with f(x) = x^n g(x + 1/x) for a
+    reciprocal f of degree 2n (coefficients high degree first): from
+    x^k + x^-k = T_k(x + 1/x), T_0 = 2, T_1 = y, T_(k+1) = y T_k - T_(k-1).
+    """
+    n = (len(coeffs) - 1) // 2
+    g = [coeffs[n]] + [0] * n  # lowest degree first
+    prev, cur = [2], [0, 1]
+    for k in range(1, n + 1):
+        for i, t in enumerate(cur):
+            g[i] += coeffs[n - k] * t
+        nxt = [0] + cur
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, nxt
+    return g[::-1]
+
+
+# Least prime at which _reciprocal_class evaluates g over F_ell with
+# numpy; below it a Python loop is faster than numpy's per-call overhead.
+ROOT_SCAN_NUMPY = 50
+
+
+def _reciprocal_class(coeffs, ell):
+    """
+    The witness class 2k of a reciprocal f mod an odd prime ell, or None:
+    2k when f is squarefree mod ell with one irreducible factor of degree
+    2k and 2n - 2k distinct linear factors.  Read from f = x^n g(x + 1/x):
+    a root y of g in F_ell is split (two linear factors of f) when
+    chi(y^2 - 4) = +1 and inert (one quadratic) when it is -1, chi the
+    Legendre symbol; an irreducible cofactor h of degree k gives one
+    factor of degree 2k when chi(h(2) h(-2)) = -1, h(2) h(-2) being the
+    norm of y^2 - 4, and two of degree k otherwise.  f is squarefree iff
+    g is and g(2) g(-2) != 0; a witness needs h irreducible, so g is
+    squarefree iff no root y has g'(y) = 0.
+    """
+    g = [c % ell for c in _trace_poly(coeffs)]
+    if not g[0]:
+        return None  # the reduction loses degree
+    # g at every t in F_ell, by Horner
+    if ell < ROOT_SCAN_NUMPY:
+        v = []
+        for t in range(ell):
+            a = 0
+            for c in g:
+                a = a * t + c
+            v.append(a % ell)
+        roots = [t for t, a in enumerate(v) if not a]
+    else:
+        t = np.arange(ell)
+        v = t * g[0] + g[1]
+        for c in g[2:]:
+            v %= ell
+            v *= t
+            v += c
+        v %= ell
+        roots = np.flatnonzero(v == 0).tolist()
+    g2 = int(v[2 % ell]) * int(v[-2 % ell])
+    if not g2:
+        return None  # x = 1 or x = -1 is a double root of f
+    n = len(g) - 1
+    inert = 0
+    for y in roots:
+        deriv = 0
+        for i, c in enumerate(g[:-1]):
+            deriv = (deriv * y + (n - i) * c) % ell
+        if not deriv:
+            return None  # g has a double root
+        inert += pow(y * y - 4, (ell - 1) // 2, ell) != 1
+    k = n - len(roots)
+    if not k:
+        return 2 if inert == 1 else None
+    # with every root split, chi(h(2) h(-2)) = chi(g(2) g(-2)); the
+    # leading coefficient of g enters g(2) g(-2) squared
+    if inert or pow(g2, (ell - 1) // 2, ell) == 1:
         return None
-    linear = sum(1 for d in ctype.degrees if d == 1)
-    big = [d for d in ctype.degrees if d > 1]
-    if len(big) == 1 and linear == two_n - big[0]:
-        return big[0]
-    return None
+    if k >= 4:  # h has no root, so it is irreducible when k <= 3
+        h = g
+        for y in roots:  # synthetic division by t - y
+            h = list(itertools.accumulate(
+                h[:-1], lambda a, c, y=y: (a * y + c) % ell))
+        if factor_type(h, ell).degrees != (k,):
+            return None
+    return 2 * k
 
 
 def _integer_factorization(coeffs):
@@ -191,9 +278,10 @@ def required_classes(n):
 def certify_wreath(coeffs, prime_bound=200):
     """
     Scans odd primes up to prime_bound, collecting cycle-class witnesses
-    from squarefree reductions of a monic reciprocal polynomial.  Only
-    when no prime witnesses irreducibility does it factor over Z; a
-    reducible input is "contradicted" with no primes reported.
+    (_reciprocal_class) from squarefree reductions of a reciprocal
+    polynomial with a nonzero leading coefficient.  Only when no prime
+    witnesses irreducibility does it factor over Z; a reducible input is
+    "contradicted" with no primes reported.
     """
     coeffs = [int(c) for c in coeffs]
     deg = len(coeffs) - 1
@@ -201,6 +289,8 @@ def certify_wreath(coeffs, prime_bound=200):
         raise ValueError("degree must be even and at least 2")
     if coeffs != coeffs[::-1]:
         raise ValueError("polynomial must be reciprocal")
+    if not coeffs[0]:
+        raise ValueError("leading coefficient must be nonzero")
     need = required_classes(deg // 2)
     witnesses = {}
     scanned = []
@@ -208,10 +298,9 @@ def certify_wreath(coeffs, prime_bound=200):
         if ell == 2:
             continue
         scanned.append(ell)
-        ctype = factor_type(coeffs, ell)
-        cls = _witness_class(ctype, deg)
+        cls = _reciprocal_class(coeffs, ell)
         if cls is not None and cls not in witnesses:
-            witnesses[cls] = (ell, ctype.degrees)
+            witnesses[cls] = (ell, (1,) * (deg - cls) + (cls,))
         if need <= set(witnesses):
             return GaloisCertificate(verdict="certified_wreath",
                                      primes_scanned=tuple(scanned),
@@ -238,6 +327,8 @@ def reciprocal_census(ell, n):
     """
     if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
+    if n < 1:
+        raise ValueError("census degree n must be >= 1")
     if ell ** n > 10 ** 7:
         raise ValueError("census guard exceeded (ell^n > 1e7)")
     counts = {2 * k: 0 for k in range(1, n + 1)}
@@ -246,7 +337,7 @@ def reciprocal_census(ell, n):
         # palindromic coefficient vector [1, a1, ..., an, ..., a1, 1]
         coeffs = [1] + list(free) + list(reversed(free[:-1])) + [1]
         total += 1
-        cls = _witness_class(factor_type(coeffs, ell), 2 * n)
+        cls = _reciprocal_class(coeffs, ell)
         if cls is not None:
             counts[cls] += 1
     classes = {}
@@ -269,6 +360,8 @@ def power_scan(A, m_max, prime_bound=200):
     least certified-reducible m (None when undetermined beyond m_max).
     """
     from .symplectic import SymplecticMatrix, char_poly
+    if m_max < 1:
+        raise ValueError("power scan needs m_max >= 1")
     if not isinstance(A, SymplecticMatrix):
         A = SymplecticMatrix(A)
     results = []
@@ -277,8 +370,8 @@ def power_scan(A, m_max, prime_bound=200):
     for m in range(1, m_max + 1):
         coeffs = list(char_poly(Am).coeffs)
         witness = next((ell for ell in primes_upto(prime_bound) if ell > 2
-                        and factor_type(coeffs, ell).degrees
-                        == (len(coeffs) - 1,)), None)
+                        and _reciprocal_class(coeffs, ell)
+                        == len(coeffs) - 1), None)
         zfac = None if witness else _integer_factorization(coeffs)
         if zfac is not None:
             if k0 is None:

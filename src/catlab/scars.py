@@ -192,8 +192,10 @@ def _ellipse_sum(p, b, a, amp, c, term, goal, what):
     p Q(w) = (p w2 - b w1)^2 + w1^2, over the integer l of the ellipse
     Q(l + c) <= r, row by row in l1, each row widened by one point for the
     real offset c; r grows until the tail bound is at most goal(total).
-    Returns (total, the l = 0 term, r, tail bound).  Raises ValueError,
-    naming `what`, when the rows or the area pi r exceed TORUS_SUM_LIMIT.
+    A goal that is a number fixes r before any point is enumerated, so
+    the ellipse is enumerated once, at the final r.  Returns (total, the
+    l = 0 term, r, tail bound).  Raises ValueError, naming `what`, when
+    the rows or the area pi r exceed TORUS_SUM_LIMIT.
 
     The tail bound is proven.  In w2 a row is a Gaussian
     exp(-a p (w2 - b w1 / p)^2) times exp(-a w1^2 / p).  The points a kept
@@ -218,22 +220,26 @@ def _ellipse_sum(p, b, a, amp, c, term, goal, what):
             raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
                              % (what, r))
         bound = amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
-        l1 = np.arange(first, last + 1)
-        w1 = l1 + c1
-        half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
-        lo = np.floor((b * w1 - half) / p - c2).astype(int)
-        counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
-        starts = np.cumsum(counts) - counts
-        L1 = np.repeat(l1, counts)
-        L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-        terms = term(L1, L2)
-        total = terms.sum()
-        # lattice_overlap_sum: total >= the l = 0 term >= e^39 amp
-        # exp(-a r), so goal(total) is 0 only when bound is 0 as well.
-        if bound <= goal(total):
-            return total, terms[(L1 == 0) & (L2 == 0)][0], r, bound
+        target = goal
+        if callable(goal) or bound <= goal:
+            l1 = np.arange(first, last + 1)
+            w1 = l1 + c1
+            half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
+            lo = np.floor((b * w1 - half) / p - c2).astype(int)
+            counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
+            starts = np.cumsum(counts) - counts
+            L1 = np.repeat(l1, counts)
+            L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
+            terms = term(L1, L2)
+            total = terms.sum()
+            # lattice_overlap_sum: total >= the l = 0 term >= e^39 amp
+            # exp(-a r), so goal(total) is 0 only when bound is 0 as well.
+            if callable(goal):
+                target = goal(total)
+            if bound <= target:
+                return total, terms[(L1 == 0) & (L2 == 0)][0], r, bound
         # one unit of a r beyond the estimate, so that r always grows
-        r += (1 + math.log(bound / goal(total))) / a
+        r += (1 + math.log(bound / target)) / a
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,7 @@ def torus_autocorrelation(B, t, N):
         return amp * np.exp(-a * quad + 1j * np.pi * phase / tr)
 
     total, _, r, bound = _ellipse_sum(
-        p, b, a, amp, (0.0, 0.0), term, lambda total: TORUS_SUM_TOL * amp,
+        p, b, a, amp, (0.0, 0.0), term, TORUS_SUM_TOL * amp,
         "torus_autocorrelation at t = %d, N = %d" % (t, N))
     value = complex(total)
     if t < 0:
@@ -419,6 +425,7 @@ class ScarEnsemble:
         # w_{i - P/2} = v at index (i + P/2) mod P
         self.wperm = (np.arange(P) + P // 2) % P
         self._dmats = {}
+        self._wdmats = {}
 
     @property
     def P(self):
@@ -463,11 +470,17 @@ class ScarEnsemble:
         """D[t, s] = <U_{j/N} v_t, v_s> for a 2-vector lattice j."""
         return self._dmats_of([j])[0]
 
+    def _wdmat(self, k):
+        """D_k with rows and columns in w order, cached by k mod 2N."""
+        m = _lattice_residue(k, self.N)
+        if m not in self._wdmats:
+            self._wdmats[m] = self._dmat(k)[self.wperm][:, self.wperm]
+        return self._wdmats[m]
+
     def matrix_element(self, j, k):
         """<(U_{j/N} (x) U_{k/N}) u, u> without forming the N^2 tensor."""
-        Dj, Dk = self._dmats_of([j, k])
-        Dkw = Dk[self.wperm][:, self.wperm]
-        return complex(np.sum(Dj * Dkw) / self.P)
+        Dj = self._dmats_of([j, k])[0]
+        return complex((Dj * self._wdmat(k)).sum() / self.P)
 
     def norm_squared(self):
         return self.matrix_element((0, 0), (0, 0)).real
@@ -490,7 +503,7 @@ class ScarEnsemble:
         """
         idx = np.arange(window)
         D0 = self._dmat((0, 0))
-        D0w = D0[self.wperm][:, self.wperm]
+        D0w = self._wdmat((0, 0))
         block = D0[np.ix_(idx, idx)] * D0w[np.ix_(idx, idx)]
         return float(np.sum(block).real / self.P)
 

@@ -211,6 +211,19 @@ def test_lattice_sum(tmp_path):
     assert abs(float(out["sum"]) - math.sqrt(2.0 / 7.0)) < 1e-10
 
 
+# degenerate Galois arguments and the catlab message each one gets
+DEGENERATE_GALOIS = [
+    (["galois-certify", "--poly", "0,0,0"], "leading coefficient"),
+    (["galois-certify", "--poly", "0,1,0"], "leading coefficient"),
+    (["galois-census", "--n", "0"], "n must be >= 1"),
+    (["galois-census", "--n", "-1"], "n must be >= 1"),
+    (["galois-power-scan", "--matrix", BLOCK, "--m-max", "0"], "m_max"),
+    (["galois-power-scan", "--matrix", BLOCK, "--m-max", "-2"], "m_max"),
+    (["galois-certify", "--poly", "1,-3,1", "--prime-bound", "-5"],
+     "prime bound"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["lattice-sum", "--matrix", CAT, "--c", "0.1"],
     ["lattice-sum", "--matrix", CAT, "--c", "0.1,0.2,0.3"],
@@ -219,15 +232,22 @@ def test_lattice_sum(tmp_path):
     ["scar-build", "--matrix", CAT, "--k", "-6"],
     ["galois-sample", "--count", "0"],
     ["galois-sample", "--word-length", "-1", "--count", "2"],
-])
+] + [argv for argv, _ in DEGENERATE_GALOIS])
 def test_bad_arguments_exit_two(tmp_path, capsys, argv):
-    # a --c without exactly two values, N < 1, k < 0, count < 1 and a
-    # negative word length are preconditions: exit 2 with a JSON
-    # diagnostic, never a traceback
+    # a --c without exactly two values, N < 1, k < 0, count < 1, a
+    # negative word length and the degenerate Galois arguments are
+    # preconditions: exit 2 with a JSON diagnostic, never a traceback
     assert main(argv + ["--out", str(tmp_path)]) == 2
     out = read_json(tmp_path / ("%s-0.json" % argv[0]))
     assert out["kind"] == "precondition"
     assert json.loads(capsys.readouterr().err) == out
+
+
+@pytest.mark.parametrize("argv,message", DEGENERATE_GALOIS)
+def test_degenerate_galois_arguments_name_the_argument(tmp_path, capsys,
+                                                       argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in read_json(tmp_path / ("%s-0.json" % argv[0]))["error"]
 
 
 def test_galois_certify(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -13,13 +14,18 @@ import catlab
 from catlab import (CycleType, SymplecticMatrix, certify_wreath, char_poly,
                     factor_type, power_scan, reciprocal_census, sample_sp,
                     sl2_census)
-from catlab.galois import primes_upto, required_classes
+import catlab.galois
+from catlab.galois import (_reciprocal_class, _trace_poly, primes_upto,
+                           required_classes)
 
 ODD_PRIMES = primes_upto(200)[1:]
 
 
 def test_primes_upto():
     assert primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert primes_upto(1) == primes_upto(0) == []
+    with pytest.raises(ValueError, match="prime bound"):
+        primes_upto(-5)
 
 
 def test_factor_type_basic():
@@ -75,6 +81,98 @@ def test_factor_type_pth_powers():
     for coeffs, ell, degrees in cases:
         assert factor_type(coeffs, ell) == CycleType(degrees, False)
         _assert_matches_sympy(coeffs, ell)
+
+
+def _witness_class(ctype, two_n):
+    """2k when the pattern is one degree-2k factor times distinct linears."""
+    if not ctype.squarefree:
+        return None
+    linear = sum(1 for d in ctype.degrees if d == 1)
+    big = [d for d in ctype.degrees if d > 1]
+    if len(big) == 1 and linear == two_n - big[0]:
+        return big[0]
+    return None
+
+
+def _palindrome(lead, free):
+    return [lead] + list(free) + list(reversed(free[:-1])) + [lead]
+
+
+def _assert_class_matches_factoring(coeffs, ell):
+    # factor_type, checked against sympy above, is the oracle
+    expect = _witness_class(factor_type(coeffs, ell), len(coeffs) - 1)
+    assert _reciprocal_class(coeffs, ell) == expect, (coeffs, ell)
+
+
+def test_trace_poly_is_exact():
+    x = sympy.Symbol("x")
+    rng = random.Random(4)
+    for n in range(1, 7):
+        for _ in range(5):
+            coeffs = _palindrome(rng.randint(1, 9) * rng.choice((1, -1)),
+                                 [rng.randint(-99, 99) for _ in range(n)])
+            g = _trace_poly(coeffs)
+            assert len(g) == n + 1 and g[0] == coeffs[0]
+            # x^n g(x + 1/x) = f(x)
+            lifted = sum(c * (x * x + 1) ** (n - i) * x ** i
+                         for i, c in enumerate(g))
+            assert sympy.Poly(lifted, x).all_coeffs() == coeffs
+    assert _trace_poly([1, -3, 1]) == [1, -3]
+    assert _trace_poly([1, 0, 7, 0, 1]) == [1, 0, 5]  # y^2 - 2 + 7
+
+
+def test_reciprocal_class_on_every_small_palindrome():
+    for ell, n in itertools.product((3, 5, 7, 11, 13), (1, 2, 3)):
+        for free in itertools.product(range(ell), repeat=n):
+            _assert_class_matches_factoring(_palindrome(1, free), ell)
+    # n = 4 reaches a cofactor of degree 4, whose irreducibility the
+    # Legendre symbols alone cannot decide
+    for ell in (3, 5):
+        for free in itertools.product(range(ell), repeat=4):
+            _assert_class_matches_factoring(_palindrome(1, free), ell)
+
+
+def test_reciprocal_class_on_random_palindromes():
+    rng = random.Random(10)
+    for ell in ODD_PRIMES:
+        for n in range(1, 6):
+            for _ in range(3):
+                free = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+                _assert_class_matches_factoring(_palindrome(1, free), ell)
+                # non-monic, and with ell dividing the leading coefficient
+                free = [rng.randint(-99, 99) for _ in range(n)]
+                lead = rng.choice([v for v in range(-20, 21) if v])
+                _assert_class_matches_factoring(_palindrome(lead, free), ell)
+                _assert_class_matches_factoring(
+                    _palindrome(ell * rng.randint(1, 3), free), ell)
+
+
+def test_reciprocal_class_on_ramified_and_repeated_factors():
+    rng = random.Random(2)
+    base = [_palindrome(1, [rng.randint(-9, 9) for _ in range(m)])
+            for m in (1, 1, 2, 2, 3)]
+    cases = []
+    for q in base:
+        cases += [np.polymul([1, -2, 1], q),   # (x - 1)^2 q: f(1) = 0
+                  np.polymul([1, 2, 1], q),    # (x + 1)^2 q: f(-1) = 0
+                  np.polymul(q, q)]            # a repeated factor
+    for q, r in itertools.combinations(base, 2):
+        cases.append(np.polymul(q, r))
+    for coeffs in cases:
+        for ell in ODD_PRIMES[:12]:
+            _assert_class_matches_factoring([int(c) for c in coeffs], ell)
+
+
+def test_classifier_replaces_factoring(monkeypatch):
+    # for n <= 3 no cofactor reaches degree 4, so no prime is factored
+    def refuse(coeffs, ell):
+        raise AssertionError("factor_type called")
+
+    monkeypatch.setattr(catlab.galois, "factor_type", refuse)
+    for m in sample_sp(3, 20, 4, seed=0):
+        certify_wreath(list(char_poly(m).coeffs))
+    reciprocal_census(7, 3)
+    power_scan(BLOCK_PAIR, 2)
 
 
 def test_import_catlab_leaves_sympy_unloaded():
@@ -136,10 +234,11 @@ def test_reciprocal_census_main_terms():
         reciprocal_census(101, 5)
 
 
+BLOCK_PAIR = [[0, 0, 2, 1], [0, 0, 1, 1], [-2, -1, 0, 0], [-1, -1, 0, 0]]
+
+
 def test_power_scan_block_rotation_pair():
-    blk = SymplecticMatrix([[0, 0, 2, 1], [0, 0, 1, 1],
-                            [-2, -1, 0, 0], [-1, -1, 0, 0]])
-    out = power_scan(blk, 4)
+    out = power_scan(SymplecticMatrix(BLOCK_PAIR), 4)
     assert out["k0"] == 2
     verdicts = {r["m"]: r["verdict"] for r in out["per_m"]}
     # x^4 + 7x^2 + 1 is irreducible over Z but its Galois group has no
@@ -149,6 +248,74 @@ def test_power_scan_block_rotation_pair():
     m2 = next(r for r in out["per_m"] if r["m"] == 2)
     assert m2["coeffs"] == (1, 14, 51, 14, 1)
     assert tuple(sorted(m2["factorization"])) == ((1, 7, 1), (1, 7, 1))
+
+
+def test_degenerate_arguments_raise():
+    with pytest.raises(ValueError, match="leading coefficient"):
+        certify_wreath([0, 0, 0])
+    with pytest.raises(ValueError, match="leading coefficient"):
+        certify_wreath([0, 1, 0])
+    with pytest.raises(ValueError, match="prime bound"):
+        certify_wreath([1, -3, 1], prime_bound=-5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            reciprocal_census(5, n)
+    for m_max in (0, -2):
+        with pytest.raises(ValueError, match="m_max"):
+            power_scan(BLOCK_PAIR, m_max)
+    # a non-monic palindrome with a nonzero leading coefficient is allowed
+    assert certify_wreath([2, -3, 2]).verdict == "certified_wreath"
+
+
+def _cert_pin(cert):
+    """(verdict, last prime scanned, {class: prime}) of a degree-6 input."""
+    assert cert.primes_scanned == tuple(ODD_PRIMES[:len(cert.primes_scanned)])
+    for cls, (_, degrees) in cert.witnesses.items():
+        assert degrees == (1,) * (6 - cls) + (cls,)
+    return (cert.verdict, cert.primes_scanned[-1],
+            {cls: ell for cls, (ell, _) in cert.witnesses.items()})
+
+
+def test_pinned_certificates():
+    # recorded when every prime's reduction was factored by factor_type
+    cert = certify_wreath([1, -3, 1])
+    assert (cert.verdict, cert.primes_scanned, cert.witnesses) == \
+        ("certified_wreath", (3,), {2: (3, (2,))})
+    pins = [("certified_wreath", 61, {6: 13, 4: 53, 2: 61}),
+            ("certified_wreath", 17, {4: 7, 2: 13, 6: 17}),
+            ("certified_wreath", 47, {6: 3, 2: 19, 4: 47}),
+            ("certified_wreath", 83, {6: 5, 4: 37, 2: 83}),
+            ("certified_irreducible_only", 199, {6: 3, 4: 31}),
+            ("certified_wreath", 37, {4: 13, 6: 17, 2: 37}),
+            ("certified_wreath", 131, {6: 17, 4: 37, 2: 131}),
+            ("certified_wreath", 41, {6: 7, 4: 13, 2: 41})]
+    got = [_cert_pin(certify_wreath(list(char_poly(m).coeffs)))
+           for m in sample_sp(3, 20, 8, seed=0)]
+    assert got == pins
+
+
+def test_pinned_censuses_and_power_scan():
+    def counts(census):
+        return (census["total"], census["other"],
+                {c: rec["count"] for c, rec in census["classes"].items()})
+
+    assert counts(reciprocal_census(13, 2)) == (169, 97, {2: 30, 4: 42})
+    assert counts(reciprocal_census(7, 3)) == (343, 260,
+                                               {2: 3, 4: 24, 6: 56})
+    def undetermined(m, coeffs):
+        return {"m": m, "coeffs": coeffs, "verdict": "undetermined",
+                "witness": None}
+
+    def reducible(m, coeffs, factor):
+        return {"m": m, "coeffs": coeffs, "verdict": "reducible",
+                "factorization": (factor, factor)}
+
+    assert power_scan(BLOCK_PAIR, 5) == {"k0": 2, "per_m": [
+        undetermined(1, (1, 0, 7, 0, 1)),
+        reducible(2, (1, 14, 51, 14, 1), (1, 7, 1)),
+        undetermined(3, (1, 0, 322, 0, 1)),
+        reducible(4, (1, -94, 2211, -94, 1), (1, -47, 1)),
+        undetermined(5, (1, 0, 15127, 0, 1))]}
 
 
 def test_sl2_census_exact():

@@ -246,6 +246,37 @@ def test_torus_autocorrelation_matches_reference_loop():
         torus_autocorrelation(B_CAT, 41, 10 ** 24)
 
 
+def test_torus_autocorrelation_enumerates_once(monkeypatch):
+    # Its goal is fixed, so the radius is found from the tail bound alone
+    # and only the final ellipse is enumerated.  float.hex of (value.real,
+    # value.imag, radius, tail_bound), recorded when every radius tried
+    # was enumerated: the final radius and points are the same.
+    cases = [
+        (34, 12, ["-0x1.51ed73aec36b3p-2", "-0x1.b07b000000000p-53",
+                  "0x1.8ec85bc592c3bp+15", "0x1.5e42d1d54764ap-66"]),
+        (144, 3, ["0x1.555555559ca65p-2", "0x0.0p+0",
+                  "0x1.ba59b7d7598e6p+0", "0x1.69edf2ee14afep-60"]),
+        (610, -5, ["0x1.0526baeb6ae24p-3", "0x1.72bdf0365261cp-76",
+                   "0x1.6cb5517256080p+1", "0x1.251b7b6e81406p-61"]),
+    ]
+    ellipse_sum = catlab.scars._ellipse_sum
+    calls = []
+
+    def counted(p, b, a, amp, c, term, goal, what):
+        def counted_term(l1, l2):
+            calls.append(len(l1))
+            return term(l1, l2)
+        return ellipse_sum(p, b, a, amp, c, counted_term, goal, what)
+
+    monkeypatch.setattr(catlab.scars, "_ellipse_sum", counted)
+    for N, t, bits in cases:
+        calls.clear()
+        res = torus_autocorrelation(B_CAT, t, N)
+        assert len(calls) == 1
+        assert [v.hex() for v in (res.value.real, res.value.imag,
+                                  res.radius, res.tail_bound)] == bits
+
+
 def test_make_scar_config_validation():
     with pytest.raises(ValueError):
         make_scar_config([[2, 3], [1, 2]], 6)  # not symmetric
@@ -352,6 +383,20 @@ def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
     assert passes == [13]  # 25 vectors, 12 +- pairs and j = 0
     # each D_j is the same whatever else its pass filled
     assert rows == semiclassical_scan(scar6, 2)
+
+
+def test_matrix_element_permutes_each_d_once(scar6):
+    # a window-2 scan permutes each of its 25 distinct D_k once, and the
+    # cached copy is the same array operation as permuting on every call
+    scar = build_scar(scar6.config)
+    semiclassical_scan(scar, 2)
+    assert len(scar._wdmats) == 25
+    w = scar.wperm
+    for j, k in [((0, 0), (0, 0)), ((1, -2), (2, 1)), ((-2, 2), (0, -1))]:
+        Dj, Dk = scar._dmats_of([j, k])
+        direct = complex(np.sum(Dj * Dk[w][:, w]) / scar.P)
+        assert scar.matrix_element(j, k) == direct
+    assert len(scar._wdmats) == 25
 
 
 def test_build_scar_checks_the_period_phase(scar6):
