@@ -178,11 +178,12 @@ def _trace_poly(coeffs):
 ROOT_SCAN_NUMPY = 50
 
 
-def _reciprocal_class(coeffs, ell):
+def _reciprocal_class(g, ell):
     """
-    The witness class 2k of a reciprocal f mod an odd prime ell, or None:
-    2k when f is squarefree mod ell with one irreducible factor of degree
-    2k and 2n - 2k distinct linear factors.  Read from f = x^n g(x + 1/x):
+    The witness class 2k mod an odd prime ell of the reciprocal f whose
+    trace polynomial is g = _trace_poly(f), or None: 2k when f is
+    squarefree mod ell with one irreducible factor of degree 2k and
+    2n - 2k distinct linear factors.  Read from f = x^n g(x + 1/x):
     a root y of g in F_ell is split (two linear factors of f) when
     chi(y^2 - 4) = +1 and inert (one quadratic) when it is -1, chi the
     Legendre symbol; an irreducible cofactor h of degree k gives one
@@ -191,7 +192,7 @@ def _reciprocal_class(coeffs, ell):
     g is and g(2) g(-2) != 0; a witness needs h irreducible, so g is
     squarefree iff no root y has g'(y) = 0.
     """
-    g = [c % ell for c in _trace_poly(coeffs)]
+    g = [c % ell for c in g]
     if not g[0]:
         return None  # the reduction loses degree
     # g at every t in F_ell, by Horner
@@ -292,13 +293,14 @@ def certify_wreath(coeffs, prime_bound=200):
     if not coeffs[0]:
         raise ValueError("leading coefficient must be nonzero")
     need = required_classes(deg // 2)
+    g = _trace_poly(coeffs)
     witnesses = {}
     scanned = []
     for ell in primes_upto(prime_bound):
         if ell == 2:
             continue
         scanned.append(ell)
-        cls = _reciprocal_class(coeffs, ell)
+        cls = _reciprocal_class(g, ell)
         if cls is not None and cls not in witnesses:
             witnesses[cls] = (ell, (1,) * (deg - cls) + (cls,))
         if need <= set(witnesses):
@@ -337,7 +339,7 @@ def reciprocal_census(ell, n):
         # palindromic coefficient vector [1, a1, ..., an, ..., a1, 1]
         coeffs = [1] + list(free) + list(reversed(free[:-1])) + [1]
         total += 1
-        cls = _reciprocal_class(coeffs, ell)
+        cls = _reciprocal_class(_trace_poly(coeffs), ell)
         if cls is not None:
             counts[cls] += 1
     classes = {}
@@ -367,11 +369,13 @@ def power_scan(A, m_max, prime_bound=200):
     results = []
     k0 = None
     Am = A
+    odd_primes = primes_upto(prime_bound)[1:]
     for m in range(1, m_max + 1):
         coeffs = list(char_poly(Am).coeffs)
-        witness = next((ell for ell in primes_upto(prime_bound) if ell > 2
-                        and _reciprocal_class(coeffs, ell)
-                        == len(coeffs) - 1), None)
+        g = _trace_poly(coeffs)
+        witness = next((ell for ell in odd_primes
+                        if _reciprocal_class(g, ell) == len(coeffs) - 1),
+                       None)
         zfac = None if witness else _integer_factorization(coeffs)
         if zfac is not None:
             if k0 is None:

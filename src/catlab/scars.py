@@ -153,24 +153,29 @@ def lattice_overlap_sum(B, q, c, h):
 
     With A = B^q = [[p, b], [b, s]] (A = I at q = 0) and a = 1 / (2 h Tr A),
     the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>,
-    p Q(w) = (p w2 - b w1)^2 + w1^2, summed by _ellipse_sum until its tail
-    bound is at most TORUS_SUM_TOL times the total.
+    p Q(w) = (p w2 - b w1)^2 + w1^2.  With W = _reduce(A), Q(l + c) =
+    |y + d|^2 for y = W l and d = W c, and _box_sum sums the terms over
+    a box in y whose tail bound is at most TORUS_SUM_TOL times the l = 0
+    term.
     """
     B = _check_overlap_matrix(B)
     if q < 0:
         raise ValueError("lattice_overlap_sum supports q >= 0 only")
-    ((p, b), (_, s)) = B.power(q).entries
+    A = B.power(q).entries
+    ((p, b), (_, s)) = A
     tr = p + s
     a = 1.0 / (2 * h * tr)
     amp = math.sqrt(2.0 / tr)
     c1, c2 = float(c[0]), float(c[1])
+    (w11, w12), (w21, w22) = _reduce(A)
 
-    def term(l1, l2):
-        w1, w2 = l1 + c1, l2 + c2
+    def term(y1, y2):
+        w1 = w22 * y1 - w12 * y2 + c1  # l = W^-1 y, w = l + c
+        w2 = w11 * y2 - w21 * y1 + c2
         return amp * np.exp(-a * (((p * w2 - b * w1) ** 2 + w1 * w1) / p))
 
-    total, l0, _, _ = _ellipse_sum(
-        p, b, a, amp, (c1, c2), term, lambda total: TORUS_SUM_TOL * total,
+    total, l0, _, _ = _box_sum(
+        a, amp, (w11 * c1 + w12 * c2, w21 * c1 + w22 * c2), term,
         "lattice_overlap_sum at q = %d" % q)
     return float(total), float(l0), float(total - l0)
 
@@ -178,74 +183,77 @@ def lattice_overlap_sum(B, q, c, h):
 # Largest grid overlap_quadrature refines to before it raises: the ladder
 # 800, 1600, ... stops at 51,200 points, one 131,072-point FFT.
 QUADRATURE_MAX_POINTS = 60000
-# Largest row count or ellipse area (pi * radius) torus_autocorrelation
-# and lattice_overlap_sum enumerate before they refuse.
+# Most lattice points torus_autocorrelation and lattice_overlap_sum
+# enumerate before they refuse.
 TORUS_SUM_LIMIT = 10 ** 6
-# Omitted terms are bounded by this fraction of the l = 0 amplitude
-# (torus_autocorrelation) or of the total (lattice_overlap_sum).
+# Omitted terms are bounded by this fraction of the l = 0 term.
 TORUS_SUM_TOL = 1e-17
 
 
-def _ellipse_sum(p, b, a, amp, c, term, goal, what):
+def _reduce(A):
     """
-    Sums term(l1, l2), whose modulus is at most amp exp(-a Q(l + c)),
-    p Q(w) = (p w2 - b w1)^2 + w1^2, over the integer l of the ellipse
-    Q(l + c) <= r, row by row in l1, each row widened by one point for the
-    real offset c; r grows until the tail bound is at most goal(total).
-    A goal that is a number fixes r before any point is enumerated, so
-    the ellipse is enumerated once, at the final r.  Returns (total, the
-    l = 0 term, r, tail bound).  Raises ValueError, naming `what`, when
-    the rows or the area pi r exceed TORUS_SUM_LIMIT.
-
-    The tail bound is proven.  In w2 a row is a Gaussian
-    exp(-a p (w2 - b w1 / p)^2) times exp(-a w1^2 / p).  The points a kept
-    row omits lie beyond distance rho on either side, with
-    a p rho^2 = a r - a w1^2 / p, so by sum <= f(rho) + integral and
-    erfc(x) <= exp(-x^2) they add at most exp(-a r) (2 + g) per row,
-    g = sqrt(pi / (a p)).  The rows |w1| > sqrt(p r) add at most
-    exp(-a r) (2 + sqrt(pi p / a)) times the largest full row, 1 + g.
-    Both hold for any offset of the lattice.
+    W in SL(2, Z) with W A W^T = I, for A = [[p, b], [b, s]] in SL(2, Z)
+    positive definite, by Gauss reduction of the form with Gram matrix A:
+    row 2 of W less the nearest integer to b / p times row 1 brings b to
+    |b| <= p / 2, and while then s < p a rotation [[0, -1], [1, 0]] swaps
+    p and s.  p falls at every swap, so the loop ends with |2 b| <= p <=
+    s, and p s - b^2 = 1 forces p^2 <= 1 + p^2 / 4, so p = 1, b = 0 and
+    s = 1: the class number h(-4) is 1.  Exact in Python integers.
     """
-    c1, c2 = c
-    g = math.sqrt(math.pi / (a * p))
-    far_rows = (2 + math.sqrt(math.pi * p / a)) * (1 + g)
-    # l = 0 lies inside the first ellipse, so the total is never below it.
-    r = (((p * c2 - b * c1) ** 2 + c1 * c1) / p
-         + math.log(1 / TORUS_SUM_TOL) / a)
+    ((p, b), (_, s)) = A
+    r1, r2 = (1, 0), (0, 1)
     while True:
-        R = math.sqrt(p * r)
-        first, last = math.floor(-R - c1), math.ceil(R - c1)
-        rows = last - first + 1
-        if rows > TORUS_SUM_LIMIT or math.pi * r > TORUS_SUM_LIMIT:
-            raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
-                             % (what, r))
-        bound = amp * math.exp(-a * r) * (rows * (2 + g) + far_rows)
-        target = goal
-        if callable(goal) or bound <= goal:
-            l1 = np.arange(first, last + 1)
-            w1 = l1 + c1
-            half = np.sqrt(np.maximum(p * r - w1 * w1, 0.0))
-            lo = np.floor((b * w1 - half) / p - c2).astype(int)
-            counts = (np.ceil((b * w1 + half) / p - c2) - lo + 1).astype(int)
-            starts = np.cumsum(counts) - counts
-            L1 = np.repeat(l1, counts)
-            L2 = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
-            terms = term(L1, L2)
-            total = terms.sum()
-            # lattice_overlap_sum: total >= the l = 0 term >= e^39 amp
-            # exp(-a r), so goal(total) is 0 only when bound is 0 as well.
-            if callable(goal):
-                target = goal(total)
-            if bound <= target:
-                return total, terms[(L1 == 0) & (L2 == 0)][0], r, bound
-        # one unit of a r beyond the estimate, so that r always grows
-        r += (1 + math.log(bound / target)) / a
+        k = (2 * b + p) // (2 * p)
+        s -= k * (2 * b - k * p)
+        b -= k * p
+        r2 = (r2[0] - k * r1[0], r2[1] - k * r1[1])
+        if p <= s:
+            return r1, r2
+        p, b, s = s, -b, p
+        r1, r2 = (-r2[0], -r2[1]), r1
+
+
+def _box_sum(a, amp, d, term, what):
+    """
+    Sums term(y1, y2), whose modulus is at most amp exp(-a |y + d|^2),
+    over the integer y of the box |y_i + d_i| <= R, y1 a column and y2 a
+    row.  R solves tail bound = TORUS_SUM_TOL amp exp(-a |d|^2), the goal
+    set by the bound at y = 0, in closed form, and is rounded up until the
+    bound is at most the goal in floating point too; the box holds y = 0
+    and is enumerated once.  Returns (total, the y = 0 term, R, tail
+    bound).  Raises ValueError, naming `what`, before any array is
+    allocated, when the box holds more than TORUS_SUM_LIMIT points.
+
+    The tail bound is proven.  exp(-a |y + d|^2) is a product of two
+    1-D Gaussians f(y_i + d_i), f(x) = exp(-a x^2).  Over all integers a
+    1-D sum is at most 1 + g, g = sqrt(pi / a): its largest term plus the
+    integral.  Over y_i + d_i > R it is at most f(R) plus the integral
+    beyond R, and erfc(x) <= exp(-x^2) makes that exp(-a R^2) (1 + g / 2);
+    so the points with |y_i + d_i| > R add at most exp(-a R^2) (2 + g).
+    Every omitted point has such a coordinate, so by a union bound over
+    the two coordinates the omitted terms add at most
+    2 amp exp(-a R^2) (2 + g) (1 + g), for any offset d.
+    """
+    g = math.sqrt(math.pi / a)
+    excess = 2 * (2 + g) * (1 + g)
+    dd = d[0] * d[0] + d[1] * d[1]
+    R = math.sqrt(dd + math.log(excess / TORUS_SUM_TOL) / a)
+    while (rel := excess * math.exp(-a * (R * R - dd))) > TORUS_SUM_TOL:
+        R = math.nextafter(R, math.inf)
+    lo = [math.ceil(-R - x) for x in d]
+    hi = [math.floor(R - x) for x in d]
+    if (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) > TORUS_SUM_LIMIT:
+        raise ValueError("%s needs radius >= %g, beyond TORUS_SUM_LIMIT"
+                         % (what, R * R))
+    terms = term(np.arange(lo[0], hi[0] + 1)[:, None],
+                 np.arange(lo[1], hi[1] + 1))
+    return terms.sum(), terms[-lo[0], -lo[1]], R, amp * math.exp(-a * dd) * rel
 
 
 @dataclass(frozen=True)
 class TorusAutocorrelation:
     value: complex
-    radius: float      # the sum covers <B^-t l, l> <= radius (a float)
+    radius: float      # the sum covers every l with <B^-t l, l> <= radius
     tail_bound: float  # proven bound on |sum of the omitted terms|
 
 
@@ -259,49 +267,43 @@ def torus_autocorrelation(B, t, N):
     by B^0 = I; negative t gives the complex conjugate.  The plane value
     gaussian_autocorrelation is the l = 0 term alone.
 
-    With A = B^|t| = [[p, b], [b, s]] and a = pi N / Tr A, the term at l
-    is sqrt(2 / Tr A) exp(-a Q(l)) exp(i pi N <A R l, l> / Tr A), with
-    the integer forms Q(l) = <A^-1 l, l> = s l1^2 - 2 b l1 l2 + p l2^2 and
-    N <A R l, l> mod 2 Tr A evaluated exactly.  _ellipse_sum sums the
-    terms until its tail bound is at most TORUS_SUM_TOL times
-    sqrt(2 / Tr A).  Raises ValueError for odd N, for 2 Tr A >= 2^56
-    (beyond int64 arithmetic), and when the sum would exceed
-    TORUS_SUM_LIMIT.
+    With A = B^|t| and a = pi N / Tr A, the term at l is
+    sqrt(2 / Tr A) exp(-a <A^-1 l, l>) exp(i pi N <A R l, l> / Tr A).
+    In y = W l, W = _reduce(A) and U = W^-1, <A^-1 l, l> = |y|^2 and,
+    as U^T R U = R, <A R l, l> = <S R y, y> with S = U^T U; its N
+    multiple is taken mod 2 Tr A exactly, in Python integers.  _box_sum
+    sums the terms over a box whose tail bound is at most TORUS_SUM_TOL
+    times sqrt(2 / Tr A).  Raises ValueError for odd N and when the sum
+    would exceed TORUS_SUM_LIMIT.
     """
     B = _check_overlap_matrix(B)
     if N <= 0 or N % 2 != 0:
         raise ValueError("torus_autocorrelation requires even N > 0")
-    ((p, b), (_, s)) = B.power(abs(t)).entries
-    tr = p + s
+    A = B.power(abs(t)).entries
+    tr = A[0][0] + A[1][1]
     a = math.pi * N / tr
     amp = math.sqrt(2.0 / tr)
     T = 2 * tr
-    if T >= 2 ** 56:
-        raise ValueError("torus_autocorrelation needs 2 Tr B^t < 2^56")
+    (w11, w12), (w21, w22) = _reduce(A)
+    # S = (W W^T)^-1 = [[s1, tau], [tau, s2]]; N tau and N (s1 - s2) mod T
+    nt = -N * (w11 * w21 + w12 * w22) % T
+    nd = N * (w21 * w21 + w22 * w22 - w11 * w11 - w12 * w12) % T
 
-    def mul(x, y):
-        # x y mod T.  For int64 |x|, |y| < 2^56 the float quotient q is
-        # within |x y| 2^-50 + 1 of x y / T, so x y - q T fits int64 and
-        # the wrapping int64 products give it exactly.
-        q = np.floor(np.multiply(x, y, dtype=float) / T).astype(np.int64)
-        return (x * y - q * T) % T
-
-    def term(l1, l2):
-        # Q(l) < 2^63, so int64 products that wrap still give it exactly
-        quad = s * l1 * l1 - 2 * b * l1 * l2 + p * l2 * l2
-        # N <A R l, l> = N (b (l2^2 - l1^2) + (p - s) l1 l2) mod 2 Tr A
-        form = (mul(b, mul(l2, l2) - mul(l1, l1))
-                + mul(p - s, mul(l1, l2))) % T
-        phase = mul(N % T, form)
+    def term(y1, y2):
+        # N <S R y, y> = N (tau (y2^2 - y1^2) + (s1 - s2) y1 y2) mod T
+        o1, o2 = y1.astype(object), y2.astype(object)
+        sq1, sq2 = nt * o1 * o1 % T, nt * o2 * o2 % T
+        phase = ((sq2 - sq1 + nd * o1 % T * o2) % T).astype(float)
+        quad = y1 * y1 + y2 * y2
         return amp * np.exp(-a * quad + 1j * np.pi * phase / tr)
 
-    total, _, r, bound = _ellipse_sum(
-        p, b, a, amp, (0.0, 0.0), term, TORUS_SUM_TOL * amp,
+    total, _, R, bound = _box_sum(
+        a, amp, (0.0, 0.0), term,
         "torus_autocorrelation at t = %d, N = %d" % (t, N))
     value = complex(total)
     if t < 0:
         value = value.conjugate()
-    return TorusAutocorrelation(value=value, radius=r, tail_bound=bound)
+    return TorusAutocorrelation(value=value, radius=R * R, tail_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -495,17 +497,6 @@ class ScarEnsemble:
         ev = np.exp(2j * self.config.phi / self.P)
         return float(np.linalg.norm(Tu - ev * u.coeffs)
                      / np.linalg.norm(u.coeffs))
-
-    def partial_norm_squared(self, window):
-        """
-        ||u_I||^2 for I the contiguous index block of the given length
-        starting at t = -P/2 (u_I = P^{-1/2} sum_{t in I} v_t (x) w_t).
-        """
-        idx = np.arange(window)
-        D0 = self._dmat((0, 0))
-        D0w = self._wdmat((0, 0))
-        block = D0[np.ix_(idx, idx)] * D0w[np.ix_(idx, idx)]
-        return float(np.sum(block).real / self.P)
 
 
 def build_scar(config):

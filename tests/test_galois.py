@@ -101,7 +101,7 @@ def _palindrome(lead, free):
 def _assert_class_matches_factoring(coeffs, ell):
     # factor_type, checked against sympy above, is the oracle
     expect = _witness_class(factor_type(coeffs, ell), len(coeffs) - 1)
-    assert _reciprocal_class(coeffs, ell) == expect, (coeffs, ell)
+    assert _reciprocal_class(_trace_poly(coeffs), ell) == expect, (coeffs, ell)
 
 
 def test_trace_poly_is_exact():

@@ -1,18 +1,22 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 import catlab.scars
-from catlab import (S1, build_scar, gaussian_autocorrelation,
+from catlab import (S1, SymplecticMatrix, admissible_N, build_scar,
+                    gaussian_autocorrelation,
                     lattice_overlap_sum, make_scar_config, metaplectic_sl2,
                     overlap_closed_form, overlap_quadrature,
                     project_gaussian, semiclassical_scan,
                     torus_autocorrelation)
 from catlab.hilbert import LatticeTranslation, StateSpace
-from catlab.scars import TORUS_SUM_TOL, leading_eigenvalue, measure_target
+from catlab.scars import (TORUS_SUM_TOL, _reduce, leading_eigenvalue,
+                          measure_target)
 from conftest import B_CAT
 
 LAM = leading_eigenvalue(B_CAT)  # (3 + sqrt 5) / 2
@@ -186,13 +190,62 @@ def test_lattice_overlap_sum_pinned_bits():
          ["0x1.76e30bc77966dp-5", "0x1.879b83abb7cd5p-22",
           "0x1.76e247f9b790fp-5"]),
         ([[2, 1], [1, 1]], 6, 144, (0.3, -0.2),
-         ["0x1.6a14f5ae2ed1ep-3", "0x1.22c5737d2e6e1p-74",
-          "0x1.6a14f5ae2ed1ep-3"]),
+         ["0x1.6a14f5ae2ed1cp-3", "0x1.22c5737d2e6e1p-74",
+          "0x1.6a14f5ae2ed1cp-3"]),
     ]
     for B, q, N, c, bits in cases:
         h = 1.0 / (2 * math.pi * N)
         got = lattice_overlap_sum(B, q, c, h)
         assert [v.hex() for v in got] == bits
+
+
+def _mp_lattice_sum(B, q, N, c):
+    """
+    ((total, x), (l0_term, x0)) of lattice_overlap_sum at 50 digits, x
+    the exponent a Q(l + c) of the largest term and x0 that of l = 0:
+    every l with a Q(l + c) <= a Q(c) + 60, row by row in l1, with Q
+    exact in integers for a dyadic offset c.
+    """
+    ((p, b), (_, s)) = B.power(q).entries
+    D = 1 << 10
+    n1, n2 = (round(v * D) for v in c)
+    assert (n1 / D, n2 / D) == tuple(c)
+
+    def DDQ(u1, u2):  # D^2 Q(u / D)
+        return s * u1 * u1 - 2 * b * u1 * u2 + p * u2 * u2
+
+    with mpmath.workdps(50):
+        k = mpmath.pi * N / ((p + s) * D * D)  # a / D^2
+        top = p * (DDQ(n1, n2) + math.ceil(60 / k))
+        x = {}
+        L = math.isqrt(top) // D + 2
+        for l1 in range(-L, L + 1):
+            u1 = D * l1 + n1
+            if top < u1 * u1:
+                continue
+            half = math.isqrt(top - u1 * u1) + 1
+            for l2 in range((b * u1 - half) // (p * D) - 1,
+                            (b * u1 + half) // (p * D) + 2):
+                x[l1, l2] = k * DDQ(u1, D * l2 + n2)
+        amp = mpmath.sqrt(mpmath.mpf(2) / (p + s))
+        total = amp * mpmath.fsum(mpmath.exp(-v) for v in x.values())
+        return ((total, min(x.values())),
+                (amp * mpmath.exp(-x[0, 0]), x[0, 0]))
+
+
+def test_lattice_overlap_sum_matches_50_digits():
+    # Rounding x = a Q(l + c) moves exp(-x) by about x 2^-53 relative, so
+    # the total (x of its largest term) and l0 may differ from the 50-digit
+    # sum by 8 such units or by 1e-14, whichever is larger, and by 2^-1072
+    # where l0 underflows.
+    for N, q in itertools.product((34, 144, 610), range(7)):
+        h = 1.0 / (2 * math.pi * N)
+        for c in [(0.0, 0.0), (0.5, 0.5), (0.5, -0.5), (0.25, -0.375),
+                  (-0.5, 0.125)]:
+            got = lattice_overlap_sum(B_CAT, q, c, h)[:2]
+            for v, (ref, x) in zip(got, _mp_lattice_sum(B_CAT, q, N, c)):
+                tol = max(1e-14, 8 * x * 2 ** -53)
+                assert abs(v - ref) <= tol * ref + 2 ** -1072, (N, q, c)
 
 
 def _reference_autocorrelation(B, t, N):
@@ -234,47 +287,83 @@ def _reference_autocorrelation(B, t, N):
 def test_torus_autocorrelation_matches_reference_loop():
     # N = 34 up to t = 13, the largest t below TORUS_SUM_LIMIT.  At
     # N = 10^6, t = 18 the products N b l1^2 reach 2e23; at N = 10^9,
-    # t = 22 the residue products (2 Tr A)^2 = 1e19 overflow int64 too.
-    for N, ts in [(34, range(14)), (10 ** 6, (16, 18)), (10 ** 9, (22,))]:
+    # t = 22 the residue products (2 Tr A)^2 = 1e19 overflow int64 too;
+    # at (N_24, 24) the ellipse Q(l) <= r spans 1.2e6 rows in l1.
+    N24 = admissible_N(B_CAT, 24).value
+    for N, ts in [(34, range(14)), (10 ** 6, (16, 18)), (10 ** 9, (22,)),
+                  (N24, (24,))]:
         for t in ts:
             got = torus_autocorrelation(B_CAT, t, N)
             assert abs(got.value - _reference_autocorrelation(B_CAT, t, N)) \
                 <= 1e-15
     with pytest.raises(ValueError):
         torus_autocorrelation(B_CAT, 14, 34)
-    with pytest.raises(ValueError, match="2\\^56"):
-        torus_autocorrelation(B_CAT, 41, 10 ** 24)
+    # At t = 41 the phase modulus 2 Tr B^t exceeds 2^57, and N = 10^24
+    # leaves only l = 0, the plane value.  The (N_30, 30) value was
+    # recorded from this box sum.
+    amp = math.sqrt(2.0 / B_CAT.power(41).trace())
+    res = torus_autocorrelation(B_CAT, 41, 10 ** 24)
+    assert res.value == amp and 0 < res.tail_bound <= TORUS_SUM_TOL * amp
+    amp = math.sqrt(2.0 / B_CAT.power(30).trace())
+    res = torus_autocorrelation(B_CAT, 30, admissible_N(B_CAT, 30).value)
+    assert abs(abs(res.value) - 1.05420981473e-6) < 1e-17
+    assert 0 < res.tail_bound <= TORUS_SUM_TOL * amp
 
 
 def test_torus_autocorrelation_enumerates_once(monkeypatch):
-    # Its goal is fixed, so the radius is found from the tail bound alone
-    # and only the final ellipse is enumerated.  float.hex of (value.real,
-    # value.imag, radius, tail_bound), recorded when every radius tried
-    # was enumerated: the final radius and points are the same.
+    # Its goal is fixed, so the box is found from the tail bound alone and
+    # enumerated once.  float.hex of (value.real, value.imag), recorded
+    # when every radius tried was enumerated by an ellipse walk, and of
+    # (radius, tail_bound) for the box.
     cases = [
-        (34, 12, ["-0x1.51ed73aec36b3p-2", "-0x1.b07b000000000p-53",
-                  "0x1.8ec85bc592c3bp+15", "0x1.5e42d1d54764ap-66"]),
-        (144, 3, ["0x1.555555559ca65p-2", "0x0.0p+0",
-                  "0x1.ba59b7d7598e6p+0", "0x1.69edf2ee14afep-60"]),
-        (610, -5, ["0x1.0526baeb6ae24p-3", "0x1.72bdf0365261cp-76",
-                   "0x1.6cb5517256080p+1", "0x1.251b7b6e81406p-61"]),
+        (34, 12, ["-0x1.51ed73aec36b3p-2", "-0x1.b07b000000000p-53"],
+         ["0x1.6b58b888d64dbp+15", "0x1.9ed048d1657cep-65"]),
+        (144, 3, ["0x1.555555559ca65p-2", "0x0.0p+0"],
+         ["0x1.a1944def3a31fp+0", "0x1.ebe9c5db3c60cp-59"]),
+        (610, -5, ["0x1.0526baeb6ae24p-3", "0x1.72bdf0365261cp-76"],
+         ["0x1.51b03f5c41c75p+1", "0x1.785bde69bc8dfp-60"]),
     ]
-    ellipse_sum = catlab.scars._ellipse_sum
+    box_sum = catlab.scars._box_sum
     calls = []
 
-    def counted(p, b, a, amp, c, term, goal, what):
-        def counted_term(l1, l2):
-            calls.append(len(l1))
-            return term(l1, l2)
-        return ellipse_sum(p, b, a, amp, c, counted_term, goal, what)
+    def counted(a, amp, d, term, what):
+        def counted_term(y1, y2):
+            calls.append(y1.size * y2.size)
+            return term(y1, y2)
+        return box_sum(a, amp, d, counted_term, what)
 
-    monkeypatch.setattr(catlab.scars, "_ellipse_sum", counted)
-    for N, t, bits in cases:
+    monkeypatch.setattr(catlab.scars, "_box_sum", counted)
+    for N, t, value, bits in cases:
         calls.clear()
         res = torus_autocorrelation(B_CAT, t, N)
         assert len(calls) == 1
-        assert [v.hex() for v in (res.value.real, res.value.imag,
-                                  res.radius, res.tail_bound)] == bits
+        assert abs(res.value - complex(*map(float.fromhex, value))) <= 1e-15
+        assert [v.hex() for v in (res.radius, res.tail_bound)] == bits
+
+
+def test_torus_sums_refuse_before_allocating():
+    h = 1.0 / (2 * math.pi * 34)
+    for refused in (lambda: torus_autocorrelation(B_CAT, 40, 34),
+                    lambda: lattice_overlap_sum(B_CAT, 30, (0.0, 0.0), h)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="TORUS_SUM_LIMIT"):
+                refused()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def test_reduce_brings_powers_to_the_identity():
+    for B in (B_CAT, SymplecticMatrix([[2, 3], [3, 5]]),
+              SymplecticMatrix([[5, 2], [2, 1]])):
+        for q in range(61):
+            A = B.power(q).entries
+            W = np.array(_reduce(A), dtype=object)
+            assert W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0] == 1
+            WAWt = W @ np.array(A, dtype=object) @ W.T
+            assert WAWt.tolist() == [[1, 0], [0, 1]], (B, q)
 
 
 def test_make_scar_config_validation():
@@ -415,12 +504,6 @@ def test_swap_symmetry(scar6):
     # swapping the factors of the materialized state reproduces it.
     u = scar6.materialize().coeffs.reshape(scar6.N, scar6.N)
     assert np.abs(u - u.T).max() / np.abs(u).max() < 1e-10
-
-
-def test_partial_norms_increase_to_total(scar6):
-    vals = [scar6.partial_norm_squared(w) for w in range(1, scar6.P + 1)]
-    assert all(b > a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert abs(vals[-1] - scar6.norm_squared()) < 1e-12
 
 
 def test_measure_target_table():
