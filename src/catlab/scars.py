@@ -152,31 +152,28 @@ def lattice_overlap_sum(B, q, c, h):
     Returns (total, l0_term, rest).  Requires q >= 0.
 
     With A = B^q = [[p, b], [b, s]] (A = I at q = 0) and a = 1 / (2 h Tr A),
-    the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>,
-    p Q(w) = (p w2 - b w1)^2 + w1^2.  With W = _reduce(A), Q(l + c) =
-    |y + d|^2 for y = W l and d = W c, and _box_sum sums the terms over
-    a box in y whose tail bound is at most TORUS_SUM_TOL times the l = 0
-    term.
+    the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>.
+    With W = _reduce(A), Q(l + c) = |y + d|^2 for y = W l and d = W c,
+    and is evaluated in that form, which does not cancel for any q.
+    _box_sum sums the terms over a box in y whose tail bound is at most
+    TORUS_SUM_TOL times the l = 0 term.
     """
     B = _check_overlap_matrix(B)
     if q < 0:
         raise ValueError("lattice_overlap_sum supports q >= 0 only")
     A = B.power(q).entries
-    ((p, b), (_, s)) = A
-    tr = p + s
+    tr = A[0][0] + A[1][1]
     a = 1.0 / (2 * h * tr)
     amp = math.sqrt(2.0 / tr)
     c1, c2 = float(c[0]), float(c[1])
     (w11, w12), (w21, w22) = _reduce(A)
+    d1, d2 = w11 * c1 + w12 * c2, w21 * c1 + w22 * c2
 
     def term(y1, y2):
-        w1 = w22 * y1 - w12 * y2 + c1  # l = W^-1 y, w = l + c
-        w2 = w11 * y2 - w21 * y1 + c2
-        return amp * np.exp(-a * (((p * w2 - b * w1) ** 2 + w1 * w1) / p))
+        return amp * np.exp(-a * ((y1 + d1) ** 2 + (y2 + d2) ** 2))
 
-    total, l0, _, _ = _box_sum(
-        a, amp, (w11 * c1 + w12 * c2, w21 * c1 + w22 * c2), term,
-        "lattice_overlap_sum at q = %d" % q)
+    total, l0, _, _ = _box_sum(a, amp, (d1, d2), term,
+                               "lattice_overlap_sum at q = %d" % q)
     return float(total), float(l0), float(total - l0)
 
 
@@ -289,13 +286,16 @@ def torus_autocorrelation(B, t, N):
     nt = -N * (w11 * w21 + w12 * w22) % T
     nd = N * (w21 * w21 + w22 * w22 - w11 * w11 - w12 * w12) % T
 
+    def cis(x):  # e^{i pi x / tr} for an array x of Python integers
+        return np.exp(1j * np.pi * (x % T).astype(float) / tr)
+
     def term(y1, y2):
-        # N <S R y, y> = N (tau (y2^2 - y1^2) + (s1 - s2) y1 y2) mod T
+        # N <S R y, y> = N (tau (y2^2 - y1^2) + (s1 - s2) y1 y2) mod T;
+        # only the cross term is a 2-D array of Python integers
         o1, o2 = y1.astype(object), y2.astype(object)
-        sq1, sq2 = nt * o1 * o1 % T, nt * o2 * o2 % T
-        phase = ((sq2 - sq1 + nd * o1 % T * o2) % T).astype(float)
-        quad = y1 * y1 + y2 * y2
-        return amp * np.exp(-a * quad + 1j * np.pi * phase / tr)
+        return (amp * np.exp(-a * y1 * y1) * cis(-nt * o1 * o1)
+                * (np.exp(-a * y2 * y2) * cis(nt * o2 * o2))
+                * cis(nd * o1 % T * o2))
 
     total, _, R, bound = _box_sum(
         a, amp, (0.0, 0.0), term,

@@ -187,11 +187,11 @@ def test_lattice_overlap_sum_pinned_bits():
         ([[2, 1], [1, 1]], 2, 144, (0.0, 0.0),
          ["0x1.11acee560242ap-1", "0x1.11acee560242ap-1", "0x0.0p+0"]),
         ([[2, 3], [3, 5]], 2, 144, (0.2981, 0.157),
-         ["0x1.76e30bc77966dp-5", "0x1.879b83abb7cd5p-22",
-          "0x1.76e247f9b790fp-5"]),
+         ["0x1.76e30bc77966cp-5", "0x1.879b83abb7cd5p-22",
+          "0x1.76e247f9b790ep-5"]),
         ([[2, 1], [1, 1]], 6, 144, (0.3, -0.2),
-         ["0x1.6a14f5ae2ed1cp-3", "0x1.22c5737d2e6e1p-74",
-          "0x1.6a14f5ae2ed1cp-3"]),
+         ["0x1.6a14f5ae2ed04p-3", "0x1.22c5737d2e6e1p-74",
+          "0x1.6a14f5ae2ed04p-3"]),
     ]
     for B, q, N, c, bits in cases:
         h = 1.0 / (2 * math.pi * N)
@@ -203,10 +203,15 @@ def _mp_lattice_sum(B, q, N, c):
     """
     ((total, x), (l0_term, x0)) of lattice_overlap_sum at 50 digits, x
     the exponent a Q(l + c) of the largest term and x0 that of l = 0:
-    every l with a Q(l + c) <= a Q(c) + 60, row by row in l1, with Q
-    exact in integers for a dyadic offset c.
+    every l with a Q(l + c) <= a Q(c) + 60, for a dyadic offset c.  As
+    Q(l + c) = |y + d|^2 for y = W l, d = W c and W = _reduce(A) (see
+    test_reduce_brings_powers_to_the_identity), these l lie in the box
+    |y_i + d_i| <= r, r^2 = Q(c) + 60 / a, of at most 1400 points here
+    for every q; each term's Q is exact in integers at l = W^-1 y.
     """
-    ((p, b), (_, s)) = B.power(q).entries
+    A = B.power(q).entries
+    ((p, b), (_, s)) = A
+    (w11, w12), (w21, w22) = _reduce(A)
     D = 1 << 10
     n1, n2 = (round(v * D) for v in c)
     assert (n1 / D, n2 / D) == tuple(c)
@@ -216,17 +221,13 @@ def _mp_lattice_sum(B, q, N, c):
 
     with mpmath.workdps(50):
         k = mpmath.pi * N / ((p + s) * D * D)  # a / D^2
-        top = p * (DDQ(n1, n2) + math.ceil(60 / k))
+        Dr = math.isqrt(DDQ(n1, n2) + math.ceil(60 / k)) + 1
+        e1, e2 = w11 * n1 + w12 * n2, w21 * n1 + w22 * n2  # D d
         x = {}
-        L = math.isqrt(top) // D + 2
-        for l1 in range(-L, L + 1):
-            u1 = D * l1 + n1
-            if top < u1 * u1:
-                continue
-            half = math.isqrt(top - u1 * u1) + 1
-            for l2 in range((b * u1 - half) // (p * D) - 1,
-                            (b * u1 + half) // (p * D) + 2):
-                x[l1, l2] = k * DDQ(u1, D * l2 + n2)
+        for y1 in range((-Dr - e1) // D, (Dr - e1) // D + 1):
+            for y2 in range((-Dr - e2) // D, (Dr - e2) // D + 1):
+                l1, l2 = w22 * y1 - w12 * y2, w11 * y2 - w21 * y1
+                x[l1, l2] = k * DDQ(D * l1 + n1, D * l2 + n2)
         amp = mpmath.sqrt(mpmath.mpf(2) / (p + s))
         total = amp * mpmath.fsum(mpmath.exp(-v) for v in x.values())
         return ((total, min(x.values())),
@@ -237,15 +238,17 @@ def test_lattice_overlap_sum_matches_50_digits():
     # Rounding x = a Q(l + c) moves exp(-x) by about x 2^-53 relative, so
     # the total (x of its largest term) and l0 may differ from the 50-digit
     # sum by 8 such units or by 1e-14, whichever is larger, and by 2^-1072
-    # where l0 underflows.
-    for N, q in itertools.product((34, 144, 610), range(7)):
+    # where l0 underflows.  At q = 30, N = 10^12 (a = 0.9) a Q(l) form
+    # evaluated at l = W^-1 y would cancel terms near 4e18.
+    cases = list(itertools.product(
+        (34, 144, 610), range(7), [(0.0, 0.0), (0.5, 0.5), (0.5, -0.5),
+                                   (0.25, -0.375), (-0.5, 0.125)]))
+    for N, q, c in cases + [(10 ** 12, 30, (0.0, 0.0))]:
         h = 1.0 / (2 * math.pi * N)
-        for c in [(0.0, 0.0), (0.5, 0.5), (0.5, -0.5), (0.25, -0.375),
-                  (-0.5, 0.125)]:
-            got = lattice_overlap_sum(B_CAT, q, c, h)[:2]
-            for v, (ref, x) in zip(got, _mp_lattice_sum(B_CAT, q, N, c)):
-                tol = max(1e-14, 8 * x * 2 ** -53)
-                assert abs(v - ref) <= tol * ref + 2 ** -1072, (N, q, c)
+        got = lattice_overlap_sum(B_CAT, q, c, h)[:2]
+        for v, (ref, x) in zip(got, _mp_lattice_sum(B_CAT, q, N, c)):
+            tol = max(1e-14, 8 * x * 2 ** -53)
+            assert abs(v - ref) <= tol * ref + 2 ** -1072, (N, q, c)
 
 
 def _reference_autocorrelation(B, t, N):
