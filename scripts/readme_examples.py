@@ -10,12 +10,13 @@ SRC is a checkout of this repository (its package is SRC/src/catlab);
 the command lines always come from the README next to this script, so
 two checkouts run the same examples.  With REF (the OUT of an earlier
 run), every artifact is compared byte for byte with its namesake in
-REF.  For a CSV or JSON that differs, the largest absolute difference of
-each numeric field is printed; any other difference (a missing or extra
-file, a changed header, key or string, a non-finite difference, or a
-differing PGM) is reported as non-numeric.  Exits 1 when any example
-exits nonzero, the README has none, or a non-numeric difference is
-found.  The byte-identity check of a change is then
+REF.  For a CSV, JSON or PGM that differs, the largest absolute
+difference of each numeric field is printed: a PGM's `original max`,
+and its pixels in levels.  Any other difference (a missing or extra
+file, a changed header, key or string, a PGM's magic or geometry, or a
+non-finite difference) is reported as non-numeric.  Exits 1 when any
+example exits nonzero, the README has none, or a non-numeric difference
+is found.  The byte-identity check of a change is then
 
     python scripts/readme_examples.py OLD_CHECKOUT old
     python scripts/readme_examples.py . new old
@@ -47,7 +48,21 @@ def example_lines():
 
 
 def _leaves(path):
-    """(field, value) pairs: CSV cells by column, JSON leaves by key path."""
+    """
+    (field, value) pairs: CSV cells by column, JSON leaves by key path,
+    and for a P5 PGM as `catlab.cli.write_pgm` writes it, its magic, the
+    comment's text, the comment's `original max`, its geometry and one
+    "pixels" field per payload byte.
+    """
+    if path.endswith(".pgm"):
+        with open(path, "rb") as f:
+            magic, comment, size, depth = (f.readline().decode("latin-1")
+                                           .strip() for _ in range(4))
+            pixels = f.read()
+        text, _, maxval = comment.rpartition(" ")
+        return ([("magic", magic), ("comment", text),
+                 ("original max", maxval), ("geometry", size + " " + depth)]
+                + [("pixels", p) for p in pixels])
     if path.endswith(".csv"):
         with open(path, newline="") as f:
             header, *rows = list(csv.reader(f)) or [[]]
@@ -93,7 +108,7 @@ def compare(out, ref):
             if f.read() == g.read():
                 continue
         fields, other = {}, set()
-        if not name.endswith((".csv", ".json")):
+        if not name.endswith((".csv", ".json", ".pgm")):
             other.add("bytes")
         else:
             a, b = _leaves(new), _leaves(old)

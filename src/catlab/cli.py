@@ -123,15 +123,13 @@ def cmd_scar_build(args):
     cfg = scars.make_scar_config(parse_matrix(args.matrix), args.k)
     scar = scars.build_scar(cfg)
     norm2 = scar.norm_squared()
-    report = {"N": cfg.N, "P": cfg.P, "phi": cfg.phi, "lambda": cfg.lam,
+    report = {"N": cfg.N, "P": cfg.P, "phi": scar.phi, "lambda": cfg.lam,
               "norm2": norm2, "S1": scars.S1(cfg.lam),
               "norm2_error": abs(norm2 - scars.S1(cfg.lam))}
     if cfg.N ** 2 <= 16_000_000:
         from .hilbert import StateSpace
-        from .metaplectic import metaplectic_sl2, tensor_propagator
-        space = StateSpace(1, cfg.N)
-        M = metaplectic_sl2(space, cfg.B)
-        MM = tensor_propagator(StateSpace(2, cfg.N), M, M)
+        from .metaplectic import tensor_propagator
+        MM = tensor_propagator(StateSpace(2, cfg.N), scar.M, scar.M)
         report["eigenresidual"] = scar.eigen_residual(MM)
     write_json(_out_path(args, "json"), report)
 

@@ -234,23 +234,22 @@ def basic_uncertainty_norm(M, delta):
     return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
-def scaling_experiment(kind, delta=None, sizes=None, depths=None, d=1):
+def scaling_experiment(kind, delta=None, sizes=None, depths=None):
     """
     kind="basic": norms of the bump operator across M in 2^8..2^14,
-    fitted slope vs the theory slope d (2 delta - 1) / 2.
+    fitted slope vs the theory slope d (2 delta - 1) / 2 in dimension
+    d = 1.
     kind="fup": Cantor-pair DFT submatrix norms across depths, fitted
     decay exponent beta (theory slope unknown; reported as nan).
     """
     if kind == "basic":
-        if d != 1:
-            raise ValueError("only d = 1 is implemented")
         if not 0.5 <= delta < 1:
             raise ValueError("delta must lie in [1/2, 1)")
         sizes = sizes or [2 ** e for e in range(8, 15)]
         hs = [1.0 / M for M in sizes]
         norms = [basic_uncertainty_norm(M, delta) for M in sizes]
         return ScalingRun(kind, tuple(sizes), tuple(hs), tuple(norms),
-                          _fit_slope(hs, norms), d * (2 * delta - 1) / 2)
+                          _fit_slope(hs, norms), (2 * delta - 1) / 2)
     if kind == "fup":
         depths = depths or list(range(4, 10))
         sizes = [3 ** r for r in depths]

@@ -3,8 +3,8 @@ Finite-dimensional quantum state spaces over the torus.
 
 A state space with n degrees of freedom and inverse Planck scale N
 (h = 1/(2 pi N)) has dimension N^n; states are coefficient vectors over
-the orthonormal basis e_j, j in Z_N^n, stored row-major.  Only theta = 0
-is supported on the exact-matrix paths.
+the orthonormal basis e_j, j in Z_N^n, stored row-major.  The Floquet
+angle theta is 0 throughout.
 """
 
 from dataclasses import dataclass
@@ -22,15 +22,10 @@ _DENSE_COLS = 16
 class StateSpace:
     n: int
     N: int
-    theta: tuple = None
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ValueError("n and N must be positive")
-        th = self.theta
-        if th is None:
-            th = (Fraction(0),) * (2 * self.n)
-        object.__setattr__(self, "theta", tuple(Fraction(t) for t in th))
 
     @property
     def h(self):
@@ -39,10 +34,6 @@ class StateSpace:
     @property
     def dim(self):
         return self.N ** self.n
-
-    def require_zero_theta(self):
-        if any(t != 0 for t in self.theta):
-            raise ValueError("only theta = 0 is supported on this path")
 
 
 @dataclass
@@ -115,7 +106,6 @@ class LatticeTranslation:
     """
 
     def __init__(self, space, m):
-        space.require_zero_theta()
         N = space.N
         m = _lattice_residue(m, N)
         if len(m) != 2 * space.n:
@@ -191,7 +181,6 @@ class QuantizedObservable:
     """Op(a) = sum_j c_j U_{j/N}; streamed, with a lazy dense matrix."""
 
     def __init__(self, space, observable):
-        space.require_zero_theta()
         self.space = space
         self.observable = observable
         self._translations = [(LatticeTranslation(space, j), c)
@@ -229,7 +218,6 @@ def project_gaussian(space):
     """
     if space.n != 1:
         raise ValueError("project_gaussian requires n = 1")
-    space.require_zero_theta()
     if space.N % 2 != 0:
         raise ValueError("project_gaussian requires even N")
     N = space.N
@@ -251,10 +239,9 @@ def project_gaussian(space):
 
 def tensor(u, v):
     """Tensor product state; index (j1, j2) row-major."""
-    if u.space.N != v.space.N or u.space.theta != v.space.theta:
-        raise ValueError("tensor requires matching N and theta")
-    space = StateSpace(u.space.n + v.space.n, u.space.N,
-                       u.space.theta + v.space.theta)
+    if u.space.N != v.space.N:
+        raise ValueError("tensor requires matching N")
+    space = StateSpace(u.space.n + v.space.n, u.space.N)
     return QuantumState(space, np.outer(u.coeffs, v.coeffs).ravel())
 
 

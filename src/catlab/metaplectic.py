@@ -77,7 +77,6 @@ def _sl2_apply(N, a, b, d):
 
 def metaplectic_sl2(space, A):
     """Gauss-sum propagator for a positive-entry SL(2,Z) matrix."""
-    space.require_zero_theta()
     if space.n != 1:
         raise ValueError("metaplectic_sl2 requires n = 1")
     if space.N % 2 != 0:
@@ -117,7 +116,6 @@ def rotation_classical():
 
 def rotation_propagator(space):
     """Propagator of u(x1, x2) -> u(-x2, x1) on an n = 2 space."""
-    space.require_zero_theta()
     if space.n != 2:
         raise ValueError("rotation_propagator requires n = 2")
     if space.N % 2 != 0:

@@ -8,9 +8,10 @@ admissible index k, builds the tensor eigenfunction
     v_t = e^{-i phi t / P} M^t G_N,   w_t = v_{t + P/2},
 
 in factored form (P states of length N, never an N^2 vector unless
-explicitly materialized), together with Gaussian overlap closed forms,
-lattice overlap sums, the exact torus autocorrelation, matrix elements,
-and semiclassical-measure scans.
+explicitly materialized), with the period phase phi read from the
+orbit's closing step M^P G_N = e^{i phi} G_N; together with Gaussian
+overlap closed forms, lattice overlap sums, the exact torus
+autocorrelation, matrix elements, and semiclassical-measure scans.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import hilbert
 from .hilbert import QuantumState, StateSpace, _lattice_residue
-from .metaplectic import metaplectic_sl2, period_phase
+from .metaplectic import metaplectic_sl2
 from .symplectic import SymplecticMatrix, admissible_N, quantum_period
 
 
@@ -98,11 +99,11 @@ def _chirp_z(f, theta):
     return down * conv[:n]
 
 
-def overlap_quadrature(B, omega, h, rtol=1e-10):
+def overlap_quadrature(B, omega, h):
     """
     Independent trapezoid evaluation of <U_omega G_h, M_B G_h> in L2(R),
-    refining the grid until the value stabilizes to rtol (absolute floor
-    1e-12).  Used as the oracle for overlap_closed_form.
+    refining the grid until the value stabilizes to QUADRATURE_RTOL
+    (absolute floor 1e-12).  Used as the oracle for overlap_closed_form.
 
     The inner integral M_B G_h(x_i) = c sum_j w_j K(x_i, y_j) G_h(y_j)
     over the uniform grids x_i = lo + i dx, y_j = -half + j dy has the
@@ -138,7 +139,8 @@ def overlap_quadrature(B, omega, h, rtol=1e-10):
               * _chirp_z(f, dx * dy / hb))
         UG = np.exp(1j / h * (eta * x - y * eta / 2)) * g(x - y)
         val = complex(np.trapezoid(UG * np.conj(MG), x))
-        if prev is not None and abs(val - prev) < max(rtol * abs(val), 1e-12):
+        tol = max(QUADRATURE_RTOL * abs(val), 1e-12)
+        if prev is not None and abs(val - prev) < tol:
             return val
         prev = val
         npts *= 2
@@ -154,9 +156,12 @@ def lattice_overlap_sum(B, q, c, h):
     With A = B^q = [[p, b], [b, s]] (A = I at q = 0) and a = 1 / (2 h Tr A),
     the term at l is sqrt(2 / Tr A) exp(-a Q(l + c)), Q(w) = <A^-1 w, w>.
     With W = _reduce(A), Q(l + c) = |y + d|^2 for y = W l and d = W c,
-    and is evaluated in that form, which does not cancel for any q.
-    _box_sum sums the terms over a box in y whose tail bound is at most
-    TORUS_SUM_TOL times the l = 0 term.
+    and is evaluated in that form, which does not cancel for any q.  y
+    runs over all of Z^2, so the total is periodic in d: with n the
+    nearest integer vector to d, _box_sum sums amp exp(-a |y' + d - n|^2)
+    over a box in y' = y + n whose tail bound is at most TORUS_SUM_TOL
+    times its largest term, at y' = 0.  l0_term is the term at l = 0,
+    y' = n: the box's entry, or its closed form when n is outside.
     """
     B = _check_overlap_matrix(B)
     if q < 0:
@@ -168,15 +173,25 @@ def lattice_overlap_sum(B, q, c, h):
     c1, c2 = float(c[0]), float(c[1])
     (w11, w12), (w21, w22) = _reduce(A)
     d1, d2 = w11 * c1 + w12 * c2, w21 * c1 + w22 * c2
+    n1, n2 = round(d1), round(d2)
+    e1, e2 = d1 - n1, d2 - n2
 
     def term(y1, y2):
-        return amp * np.exp(-a * ((y1 + d1) ** 2 + (y2 + d2) ** 2))
+        return amp * np.exp(-a * ((y1 + e1) ** 2 + (y2 + e2) ** 2))
 
-    total, l0, _, _ = _box_sum(a, amp, (d1, d2), term,
+    terms, lo, _, _ = _box_sum(a, amp, (e1, e2), term,
                                "lattice_overlap_sum at q = %d" % q)
+    total = terms.sum()
+    i, j = n1 - lo[0], n2 - lo[1]
+    if 0 <= i < terms.shape[0] and 0 <= j < terms.shape[1]:
+        l0 = terms[i, j]
+    else:
+        l0 = amp * math.exp(-a * (d1 * d1 + d2 * d2))
     return float(total), float(l0), float(total - l0)
 
 
+# overlap_quadrature's relative convergence goal between grid doublings.
+QUADRATURE_RTOL = 1e-10
 # Largest grid overlap_quadrature refines to before it raises: the ladder
 # 800, 1600, ... stops at 51,200 points, one 131,072-point FFT.
 QUADRATURE_MAX_POINTS = 60000
@@ -212,14 +227,15 @@ def _reduce(A):
 
 def _box_sum(a, amp, d, term, what):
     """
-    Sums term(y1, y2), whose modulus is at most amp exp(-a |y + d|^2),
+    Evaluates term(y1, y2), whose modulus is at most amp exp(-a |y + d|^2),
     over the integer y of the box |y_i + d_i| <= R, y1 a column and y2 a
     row.  R solves tail bound = TORUS_SUM_TOL amp exp(-a |d|^2), the goal
     set by the bound at y = 0, in closed form, and is rounded up until the
     bound is at most the goal in floating point too; the box holds y = 0
-    and is enumerated once.  Returns (total, the y = 0 term, R, tail
-    bound).  Raises ValueError, naming `what`, before any array is
-    allocated, when the box holds more than TORUS_SUM_LIMIT points.
+    and is enumerated once.  Returns (terms, lo, R, tail bound), where
+    terms[i, j] is the term at y = (lo[0] + i, lo[1] + j).  Raises
+    ValueError, naming `what`, before any array is allocated, when the
+    box holds more than TORUS_SUM_LIMIT points.
 
     The tail bound is proven.  exp(-a |y + d|^2) is a product of two
     1-D Gaussians f(y_i + d_i), f(x) = exp(-a x^2).  Over all integers a
@@ -244,7 +260,7 @@ def _box_sum(a, amp, d, term, what):
                          % (what, R * R))
     terms = term(np.arange(lo[0], hi[0] + 1)[:, None],
                  np.arange(lo[1], hi[1] + 1))
-    return terms.sum(), terms[-lo[0], -lo[1]], R, amp * math.exp(-a * dd) * rel
+    return terms, lo, R, amp * math.exp(-a * dd) * rel
 
 
 @dataclass(frozen=True)
@@ -297,10 +313,10 @@ def torus_autocorrelation(B, t, N):
                 * (np.exp(-a * y2 * y2) * cis(nt * o2 * o2))
                 * cis(nd * o1 % T * o2))
 
-    total, _, R, bound = _box_sum(
+    terms, _, R, bound = _box_sum(
         a, amp, (0.0, 0.0), term,
         "torus_autocorrelation at t = %d, N = %d" % (t, N))
-    value = complex(total)
+    value = complex(terms.sum())
     if t < 0:
         value = value.conjugate()
     return TorusAutocorrelation(value=value, radius=R * R, tail_bound=bound)
@@ -312,7 +328,6 @@ class ScarConfig:
     k: int
     N: int
     P: int
-    phi: float
     lam: float
 
 
@@ -323,8 +338,8 @@ SCAR_MAX_BYTES = 2 * 2 ** 30
 
 def make_scar_config(B, k):
     """
-    Validates admissibility and the orbit's size (SCAR_MAX_BYTES), and
-    measures the period phase from M^P e_0; ScarEnsemble checks it on G_N.
+    Validates admissibility and the orbit's size (SCAR_MAX_BYTES); builds
+    no propagator.  ScarEnsemble measures the period phase on its orbit.
     """
     B = _check_overlap_matrix(B)
     nk = admissible_N(B, k)
@@ -340,10 +355,7 @@ def make_scar_config(B, k):
         raise ValueError("the P x N = %d x %d complex scar orbit needs %d "
                          "bytes, above SCAR_MAX_BYTES = %d"
                          % (P, N, need, SCAR_MAX_BYTES))
-    M = metaplectic_sl2(StateSpace(1, N), B)
-    pp = period_phase(M, P)
-    return ScarConfig(B=B, k=k, N=N, P=P, phi=pp.phi,
-                      lam=leading_eigenvalue(B))
+    return ScarConfig(B=B, k=k, N=N, P=P, lam=leading_eigenvalue(B))
 
 
 # Columns of V per chunk in _translation_grams.
@@ -401,31 +413,30 @@ class ScarEnsemble:
 
     def __init__(self, config):
         self.config = config
-        N, P, phi = config.N, config.P, config.phi
+        N, P = config.N, config.P
         self.space = StateSpace(1, N)
-        M = metaplectic_sl2(self.space, config.B)
-        # V[i] = v_{i - P/2} for i = 0..P-1, written as the orbit g_s =
-        # M^s G_N is generated; negative times use M^t = e^{-i phi} M^{t+P}.
-        # Only V is held, one P x N array.
+        self.M = metaplectic_sl2(self.space, config.B)
+        # Row (s + P/2) mod P of V holds the orbit g_s = M^s G_N, so row i
+        # is time t = i - P/2 with s = t mod P; M^P G_N = e^{i phi} G_N
+        # makes e^{-i phi s / P} g_s = v_t for t < 0 too.  Only V is held,
+        # one P x N array, phased in place.
         V = np.empty((P, N), dtype=np.complex128)
         G = hilbert.project_gaussian(self.space).coeffs
         g = G
         for s in range(P):
-            i = (s + P // 2) % P
-            t = i - P // 2
-            if t >= 0:
-                V[i] = np.exp(-1j * phi * t / P) * g
-            else:
-                V[i] = np.exp(-1j * phi * t / P - 1j * phi) * g
-            g = M.apply_array(g)
-        # g = M^P G_N closes the orbit: the period-phase check on G_N.
-        defect = float(np.abs(g - np.exp(1j * phi) * G).max())
+            V[(s + P // 2) % P] = g
+            g = self.M.apply_array(g)
+        # g = M^P G_N closes the orbit: phi and the period-phase check on G_N.
+        self.phi = float(np.angle(np.vdot(G, g)))
+        defect = float(np.abs(g - np.exp(1j * self.phi) * G).max())
         if defect > 1e-6:  # period_phase's default tolerance
             raise AssertionError("M^P G_N is not e^{i phi} G_N (defect %.3e)"
                                  % defect)
-        self.V = V
-        # w_{i - P/2} = v at index (i + P/2) mod P
+        # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
+        # s of the orbit state in row i
         self.wperm = (np.arange(P) + P // 2) % P
+        V *= np.exp(-1j * self.phi * self.wperm / P)[:, None]
+        self.V = V
         self._dmats = {}
         self._wdmats = {}
 
@@ -438,15 +449,11 @@ class ScarEnsemble:
         return self.config.N
 
     def materialize(self):
-        """Dense N^2 tensor state; only for small N."""
+        """Dense N^2 tensor state V^T V[wperm] / sqrt(P); only for small N."""
         if self.N ** 2 > 16_000_000:
             raise ValueError("refusing to materialize an N^2 vector this large")
-        u = np.zeros(self.N * self.N, dtype=np.complex128)
-        W = self.V[self.wperm]
-        for t in range(self.P):
-            u += np.outer(self.V[t], W[t]).ravel()
-        space2 = StateSpace(2, self.N)
-        return QuantumState(space2, u / math.sqrt(self.P))
+        u = self.V.T @ self.V[self.wperm] / math.sqrt(self.P)
+        return QuantumState(StateSpace(2, self.N), u)
 
     def _dmats_of(self, js):
         """
@@ -494,7 +501,7 @@ class ScarEnsemble:
         """
         u = self.materialize()
         Tu = propagator.apply_array(u.coeffs)
-        ev = np.exp(2j * self.config.phi / self.P)
+        ev = np.exp(2j * self.phi / self.P)
         return float(np.linalg.norm(Tu - ev * u.coeffs)
                      / np.linalg.norm(u.coeffs))
 

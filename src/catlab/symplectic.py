@@ -172,7 +172,11 @@ def quantization_admissible(A, N, theta=None):
     return True
 
 
-def quantum_period(A, N, cap_factor=16):
+# quantum_period gives up after PERIOD_CAP_FACTOR * N multiplications.
+PERIOD_CAP_FACTOR = 16
+
+
+def quantum_period(A, N):
     """
     Least k >= 1 with A^k = I mod N, by iterated modular multiplication.
     Requires a hyperbolic input (|trace| > 2 for n = 1).
@@ -187,11 +191,12 @@ def quantum_period(A, N, cap_factor=16):
     I = np.eye(dim, dtype=object)
     Amod = A.array() % N
     M = I.copy()
-    for k in range(1, cap_factor * N + 1):
+    cap = PERIOD_CAP_FACTOR * N
+    for k in range(1, cap + 1):
         M = (M @ Amod) % N
         if (M == I).all():
             return k
-    raise RuntimeError("period not found within cap %d" % (cap_factor * N))
+    raise RuntimeError("period not found within cap %d" % cap)
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,9 @@ def test_translation_reduces_m_mod_2N():
                   * U12).max() < 1e-12
 
 
-def test_translation_rejects_off_lattice_and_theta():
+def test_translation_rejects_off_lattice():
     with pytest.raises(ValueError):
         translation(SP, (0.123456, 0.0))
-    from fractions import Fraction
-    sp_theta = StateSpace(1, 34, (Fraction(1, 3), Fraction(0)))
-    with pytest.raises(ValueError):
-        LatticeTranslation(sp_theta, (1, 0))
 
 
 def test_weyl_quantize_identity_adjoint_and_norm():

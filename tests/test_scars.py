@@ -15,6 +15,7 @@ from catlab import (S1, SymplecticMatrix, admissible_N, build_scar,
                     project_gaussian, semiclassical_scan,
                     torus_autocorrelation)
 from catlab.hilbert import LatticeTranslation, StateSpace
+from catlab.metaplectic import Propagator, period_phase
 from catlab.scars import (TORUS_SUM_TOL, _reduce, leading_eigenvalue,
                           measure_target)
 from conftest import B_CAT
@@ -199,6 +200,33 @@ def test_lattice_overlap_sum_pinned_bits():
         assert [v.hex() for v in got] == bits
 
 
+def test_lattice_overlap_sum_is_periodic_in_c():
+    # The total runs over every l, so it is periodic in c: the box is
+    # centred on W c less its nearest integer vector, and (1000.25, 0) is
+    # not refused.  For dyadic c the shift by m is exact in W c, and the
+    # totals agree.  l0_term stays the l = 0 term at the shifted c, from
+    # the box when it holds l = 0 and in closed form when it does not.  At
+    # q = 6, W c = (0.25, 0.5) for c = (7.25, 4.5) and (1.25, 0.5) for
+    # c + (13, 8), so l = 0 is y' = (1, 0), inside the box.
+    h = 1.0 / (2 * math.pi * 144)
+    for B, q, c, m in [(B_CAT, 2, (0.25, 0.0), (1000, 0)),
+                       (B_CAT, 6, (7.25, 4.5), (13, 8)),
+                       (B_CAT, 6, (0.4375, -0.375), (1, -1)),
+                       (B_CAT, 6, (0.4375, -0.375), (3, -7)),
+                       (SymplecticMatrix([[2, 3], [3, 5]]), 3,
+                        (0.3125, 0.5), (-12, 5))]:
+        total, _, _ = lattice_overlap_sum(B, q, c, h)
+        x1, x2 = c[0] + m[0], c[1] + m[1]
+        t, l0, rest = lattice_overlap_sum(B, q, (x1, x2), h)
+        assert abs(t - total) <= 1e-15 * total
+        assert rest == t - l0
+        ((p, b), (_, s)) = B.power(q).entries
+        Q = s * x1 * x1 - 2 * b * x1 * x2 + p * x2 * x2  # <A^-1 x, x>
+        want = math.sqrt(2.0 / (p + s)) * math.exp(-Q / (2 * h * (p + s)))
+        assert abs(l0 - want) <= 1e-13 * want
+        assert (l0 > 0) == (m == (13, 8))
+
+
 def _mp_lattice_sum(B, q, N, c):
     """
     ((total, x), (l0_term, x0)) of lattice_overlap_sum at 50 digits, x
@@ -381,7 +409,7 @@ def test_make_scar_config_validation():
 def test_scar_config_values(scar6):
     cfg = scar6.config
     assert (cfg.k, cfg.N, cfg.P) == (6, 144, 12)
-    assert abs(cfg.phi) < 1e-8
+    assert abs(scar6.phi) < 1e-8
     assert abs(cfg.lam - LAM) < 1e-14
 
 
@@ -492,10 +520,37 @@ def test_matrix_element_permutes_each_d_once(scar6):
 
 
 def test_build_scar_checks_the_period_phase(scar6):
-    # The orbit's closing apply checks M^P G_N = e^{i phi} G_N.
+    # The orbit's closing apply checks M^P G_N = e^{i phi} G_N, so an orbit
+    # one step short fails.  (Half a period would pass: M^{P/2} G_N is a
+    # multiple of G_N for the cat map.)
     cfg = scar6.config
     with pytest.raises(AssertionError, match="M\\^P G_N"):
-        build_scar(dataclasses.replace(cfg, phi=cfg.phi + 0.1))
+        build_scar(dataclasses.replace(cfg, P=cfg.P - 1))
+
+
+@pytest.mark.parametrize("fixture", ["scar6", "scar12"])
+def test_scar_phase_matches_period_phase(fixture, request):
+    # period_phase measures phi independently: from the trace of the dense
+    # M^P at k = 6 (N = 144), from M^P e_0 at k = 12 (N = 46368).
+    scar = request.getfixturevalue(fixture)
+    pp = period_phase(metaplectic_sl2(StateSpace(1, scar.N), B_CAT), scar.P)
+    assert abs(scar.phi - pp.phi) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [6, 12])
+def test_scar_applies_m_once_per_period_step(k, monkeypatch):
+    # Config plus build apply M exactly P times, each to one state: the
+    # orbit M^s G_N for s < P and its closing step.
+    shapes = []
+    apply_array = Propagator.apply_array
+
+    def counted(self, c):
+        shapes.append(np.shape(c))
+        return apply_array(self, c)
+
+    monkeypatch.setattr(Propagator, "apply_array", counted)
+    scar = build_scar(make_scar_config(B_CAT, k))
+    assert shapes == [(scar.N,)] * scar.P
 
 
 def test_scar_is_tensor_eigenfunction(scar6, tensor144):
