@@ -237,8 +237,7 @@ def basic_uncertainty_norm(M, delta):
 def scaling_experiment(kind, delta=None, sizes=None, depths=None):
     """
     kind="basic": norms of the bump operator across M in 2^8..2^14,
-    fitted slope vs the theory slope d (2 delta - 1) / 2 in dimension
-    d = 1.
+    fitted slope vs the theory slope (2 delta - 1) / 2 of dimension d = 1.
     kind="fup": Cantor-pair DFT submatrix norms across depths, fitted
     decay exponent beta (theory slope unknown; reported as nan).
     """

@@ -409,7 +409,7 @@ def _translation_grams(V, ms):
 
 
 class ScarEnsemble:
-    """Factored representation of u = P^{-1/2} sum_t v_t (x) w_t."""
+    """Factored u = P^{-1/2} sum_t v_t (x) w_t: its M, phi and orbit V."""
 
     def __init__(self, config):
         self.config = config
