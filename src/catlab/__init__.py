@@ -14,10 +14,10 @@ from .metaplectic import (Propagator, PeriodPhase, metaplectic_sl2,
                           metaplectic_adjoint,
                           rotation_propagator, tensor_propagator,
                           egorov_defect, period_phase)
-from .scars import (ScarConfig, ScarEnsemble, make_scar_config, build_scar,
-                    overlap_closed_form, overlap_quadrature,
-                    gaussian_autocorrelation, lattice_overlap_sum,
-                    torus_autocorrelation, semiclassical_scan, S1)
+from .scars import (ScarEnsemble, build_scar, overlap_closed_form,
+                    overlap_quadrature, gaussian_autocorrelation,
+                    lattice_overlap_sum, torus_autocorrelation,
+                    semiclassical_scan, S1)
 from .galois import (GaloisCertificate, CycleType, factor_type,
                      reciprocal_census, certify_wreath, power_scan,
                      sl2_census, sample_sp)

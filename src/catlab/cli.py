@@ -120,24 +120,22 @@ def cmd_periods(args):
 
 def cmd_scar_build(args):
     from . import scars
-    cfg = scars.make_scar_config(parse_matrix(args.matrix), args.k)
-    scar = scars.build_scar(cfg)
+    scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     norm2 = scar.norm_squared()
-    report = {"N": cfg.N, "P": cfg.P, "phi": scar.phi, "lambda": cfg.lam,
-              "norm2": norm2, "S1": scars.S1(cfg.lam),
-              "norm2_error": abs(norm2 - scars.S1(cfg.lam))}
-    if cfg.N ** 2 <= 16_000_000:
+    report = {"N": scar.N, "P": scar.P, "phi": scar.phi, "lambda": scar.lam,
+              "norm2": norm2, "S1": scars.S1(scar.lam),
+              "norm2_error": abs(norm2 - scars.S1(scar.lam))}
+    if scar.N ** 2 <= scars.MATERIALIZE_LIMIT:
         from .hilbert import StateSpace
         from .metaplectic import tensor_propagator
-        MM = tensor_propagator(StateSpace(2, cfg.N), scar.M, scar.M)
+        MM = tensor_propagator(StateSpace(2, scar.N), scar.M, scar.M)
         report["eigenresidual"] = scar.eigen_residual(MM)
     write_json(_out_path(args, "json"), report)
 
 
 def cmd_scar_scan(args):
     from . import scars
-    cfg = scars.make_scar_config(parse_matrix(args.matrix), args.k)
-    scar = scars.build_scar(cfg)
+    scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     rows = scars.semiclassical_scan(scar, args.window)
     write_csv(_out_path(args, "csv"),
               ["j1", "j2", "k1", "k2", "ratio_re", "ratio_im", "target",
@@ -148,27 +146,22 @@ def cmd_scar_scan(args):
 
 def cmd_scar_density(args):
     from . import scars
-    cfg = scars.make_scar_config(parse_matrix(args.matrix), args.k)
-    scar = scars.build_scar(cfg)
-    N, P = cfg.N, cfg.P
-    V = scar.V
-    W = V[scar.wperm]
-    shift = N // 2 if args.center else 0
-
-    def rows():
-        for j1 in range(N):
-            src = (j1 - shift) % N
-            amp = V[:, src] @ W / math.sqrt(P)
-            yield np.roll(np.abs(amp) ** 2, shift)
-
-    maxval = 0.0
-    for row in rows():
-        maxval = max(maxval, float(row.max()))
-    write_pgm(_out_path(args, "pgm"), rows(), (N, N), maxval)
+    scar = scars.build_scar(parse_matrix(args.matrix), args.k)
+    N = scar.N
+    # At N <= 1024 the rows (at most 8 MB) are kept for the max, the PGM
+    # and the CSV; above, they are streamed once for the max and once for
+    # the PGM.
+    rows = scar.density_rows(args.center)
+    if N <= 1024:
+        rows = list(rows)
+    maxval = max(float(row.max()) for row in rows)
+    if N > 1024:
+        rows = scar.density_rows(args.center)
+    write_pgm(_out_path(args, "pgm"), rows, (N, N), maxval)
     if N <= 1024:
         # the bytes write_csv gives (ints, then floats at 17 digits)
         lines = ["j1,j2,density\n"]
-        for j1, row in enumerate(rows()):
+        for j1, row in enumerate(rows):
             lines.extend("%d,%d,%.17g\n" % (j1, j2, v)
                          for j2, v in enumerate(row.tolist()))
         _atomic_write(_out_path(args, "csv"), "".join(lines))
@@ -176,6 +169,8 @@ def cmd_scar_density(args):
 
 def cmd_overlap_test(args):
     from . import scars
+    if args.count < 1:
+        raise ValueError("overlap-test needs count >= 1")
     B = parse_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     rows = []

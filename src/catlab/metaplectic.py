@@ -29,11 +29,11 @@ from .symplectic import SymplecticMatrix
 class Propagator:
     """Unitary on a state space; carries its classical matrix."""
 
-    def __init__(self, space, classical, apply_array, dense=None):
+    def __init__(self, space, classical, apply_array):
         self.space = space
         self.classical = classical
         self._apply_array = apply_array
-        self._dense = dense
+        self._dense = None
 
     def apply_array(self, c):
         return self._apply_array(np.asarray(c, dtype=np.complex128))
@@ -171,6 +171,11 @@ def egorov_defect(P, window):
     return worst
 
 
+# Largest |M^P - e^{i phi} I| entry period_phase accepts; ScarEnsemble
+# holds |M^P G_N - e^{i phi} G_N| to the same bound.
+PERIOD_PHASE_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class PeriodPhase:
     P: int
@@ -178,7 +183,7 @@ class PeriodPhase:
     defect: float
 
 
-def period_phase(P, period, probes=None, tol=1e-6):
+def period_phase(P, period, probes=None, tol=PERIOD_PHASE_TOL):
     """
     Measures the global phase of M^period = e^{i phi} I.
 

@@ -2,7 +2,7 @@
 The scarred-eigenfunction pipeline.
 
 From a hyperbolic, symmetric, positive-entry B in SL(2,Z) and an
-admissible index k, builds the tensor eigenfunction
+admissible index k, build_scar(B, k) builds the tensor eigenfunction
 
     u = P^{-1/2} sum_t v_t (x) w_t,
     v_t = e^{-i phi t / P} M^t G_N,   w_t = v_{t + P/2},
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import hilbert
 from .hilbert import QuantumState, StateSpace, _lattice_residue
-from .metaplectic import metaplectic_sl2
+from .metaplectic import PERIOD_PHASE_TOL, metaplectic_sl2
 from .symplectic import SymplecticMatrix, admissible_N, quantum_period
 
 
@@ -322,40 +322,11 @@ def torus_autocorrelation(B, t, N):
     return TorusAutocorrelation(value=value, radius=R * R, tail_bound=bound)
 
 
-@dataclass(frozen=True)
-class ScarConfig:
-    B: SymplecticMatrix
-    k: int
-    N: int
-    P: int
-    lam: float
-
-
-# Largest P x N complex orbit array make_scar_config admits; it refuses
-# before any array of length N is allocated.
+# Largest P x N complex orbit array build_scar admits; it refuses before
+# any array of length N is allocated.
 SCAR_MAX_BYTES = 2 * 2 ** 30
-
-
-def make_scar_config(B, k):
-    """
-    Validates admissibility and the orbit's size (SCAR_MAX_BYTES); builds
-    no propagator.  ScarEnsemble measures the period phase on its orbit.
-    """
-    B = _check_overlap_matrix(B)
-    nk = admissible_N(B, k)
-    if not nk.admissible:
-        raise ValueError("index k = %d is not admissible for trace %d"
-                         % (k, B.trace()))
-    if not nk.even:
-        raise ValueError("N_k must be even")
-    N = nk.value
-    P = quantum_period(B, N)
-    need = 16 * P * N
-    if need > SCAR_MAX_BYTES:
-        raise ValueError("the P x N = %d x %d complex scar orbit needs %d "
-                         "bytes, above SCAR_MAX_BYTES = %d"
-                         % (P, N, need, SCAR_MAX_BYTES))
-    return ScarConfig(B=B, k=k, N=N, P=P, lam=leading_eigenvalue(B))
+# Largest N^2 a scar materializes as a dense tensor state.
+MATERIALIZE_LIMIT = 16_000_000
 
 
 # Columns of V per chunk in _translation_grams.
@@ -409,19 +380,23 @@ def _translation_grams(V, ms):
 
 
 class ScarEnsemble:
-    """Factored u = P^{-1/2} sum_t v_t (x) w_t: its M, phi and orbit V."""
+    """
+    Factored u = P^{-1/2} sum_t v_t (x) w_t for B, even N and the period
+    P = ord(B mod N): B, N, P, lambda, M, the period phase phi and the
+    orbit V.  build_scar validates the arguments first.
+    """
 
-    def __init__(self, config):
-        self.config = config
-        N, P = config.N, config.P
-        self.space = StateSpace(1, N)
-        self.M = metaplectic_sl2(self.space, config.B)
+    def __init__(self, B, N, P):
+        self.B, self.N, self.P = B, N, P
+        self.lam = leading_eigenvalue(B)
+        space = StateSpace(1, N)
+        self.M = metaplectic_sl2(space, B)
         # Row (s + P/2) mod P of V holds the orbit g_s = M^s G_N, so row i
         # is time t = i - P/2 with s = t mod P; M^P G_N = e^{i phi} G_N
         # makes e^{-i phi s / P} g_s = v_t for t < 0 too.  Only V is held,
         # one P x N array, phased in place.
         V = np.empty((P, N), dtype=np.complex128)
-        G = hilbert.project_gaussian(self.space).coeffs
+        G = hilbert.project_gaussian(space).coeffs
         g = G
         for s in range(P):
             V[(s + P // 2) % P] = g
@@ -429,7 +404,7 @@ class ScarEnsemble:
         # g = M^P G_N closes the orbit: phi and the period-phase check on G_N.
         self.phi = float(np.angle(np.vdot(G, g)))
         defect = float(np.abs(g - np.exp(1j * self.phi) * G).max())
-        if defect > 1e-6:  # period_phase's default tolerance
+        if defect > PERIOD_PHASE_TOL:
             raise AssertionError("M^P G_N is not e^{i phi} G_N (defect %.3e)"
                                  % defect)
         # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
@@ -440,20 +415,23 @@ class ScarEnsemble:
         self._dmats = {}
         self._wdmats = {}
 
-    @property
-    def P(self):
-        return self.config.P
-
-    @property
-    def N(self):
-        return self.config.N
-
     def materialize(self):
         """Dense N^2 tensor state V^T V[wperm] / sqrt(P); only for small N."""
-        if self.N ** 2 > 16_000_000:
+        if self.N ** 2 > MATERIALIZE_LIMIT:
             raise ValueError("refusing to materialize an N^2 vector this large")
         u = self.V.T @ self.V[self.wperm] / math.sqrt(self.P)
         return QuantumState(StateSpace(2, self.N), u)
+
+    def density_rows(self, center):
+        """
+        The rows j1 = 0..N-1 of position_density(materialize(), center),
+        |V[:, j1]^T V[wperm]|^2 / P, one at a time: no N^2 array is held.
+        """
+        W = self.V[self.wperm]
+        shift = self.N // 2 if center else 0
+        for j1 in range(self.N):
+            amp = self.V[:, (j1 - shift) % self.N] @ W / math.sqrt(self.P)
+            yield np.roll(np.abs(amp) ** 2, shift)
 
     def _dmats_of(self, js):
         """
@@ -475,15 +453,12 @@ class ScarEnsemble:
                 self._dmats[m] = D
         return [self._dmats[m] for m in keys]
 
-    def _dmat(self, j):
-        """D[t, s] = <U_{j/N} v_t, v_s> for a 2-vector lattice j."""
-        return self._dmats_of([j])[0]
-
     def _wdmat(self, k):
         """D_k with rows and columns in w order, cached by k mod 2N."""
         m = _lattice_residue(k, self.N)
         if m not in self._wdmats:
-            self._wdmats[m] = self._dmat(k)[self.wperm][:, self.wperm]
+            D = self._dmats_of([k])[0]
+            self._wdmats[m] = D[self.wperm][:, self.wperm]
         return self._wdmats[m]
 
     def matrix_element(self, j, k):
@@ -506,8 +481,28 @@ class ScarEnsemble:
                      / np.linalg.norm(u.coeffs))
 
 
-def build_scar(config):
-    return ScarEnsemble(config)
+def build_scar(B, k):
+    """
+    The scar of B at the admissible index k, N = N_k and P = ord(B mod N).
+    Raises ValueError, before any array of length N is allocated, unless
+    B is symmetric and hyperbolic, k is admissible, N is even and the
+    P x N orbit fits in SCAR_MAX_BYTES.
+    """
+    B = _check_overlap_matrix(B)
+    nk = admissible_N(B, k)
+    if not nk.admissible:
+        raise ValueError("index k = %d is not admissible for trace %d"
+                         % (k, B.trace()))
+    if not nk.even:
+        raise ValueError("N_k must be even")
+    N = nk.value
+    P = quantum_period(B, N)
+    need = 16 * P * N
+    if need > SCAR_MAX_BYTES:
+        raise ValueError("the P x N = %d x %d complex scar orbit needs %d "
+                         "bytes, above SCAR_MAX_BYTES = %d"
+                         % (P, N, need, SCAR_MAX_BYTES))
+    return ScarEnsemble(B, N, P)
 
 
 def measure_target(j, k):
@@ -525,7 +520,10 @@ def semiclassical_scan(scar, window):
     """
     Rows (j1, j2, k1, k2, ratio, target, error) over all lattice pairs
     with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2.
+    Raises ValueError for window < 0.
     """
+    if window < 0:
+        raise ValueError("semiclassical_scan needs window >= 0")
     lattice = list(itertools.product(range(-window, window + 1), repeat=2))
     scar._dmats_of(lattice)  # the whole window in one pass over V
     norm2 = scar.norm_squared()

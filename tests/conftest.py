@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from catlab import (SymplecticMatrix, build_scar, make_scar_config,
-                    metaplectic_sl2)
+from catlab import SymplecticMatrix, build_scar, metaplectic_sl2
 from catlab.hilbert import StateSpace
 from catlab.metaplectic import tensor_propagator
 
@@ -22,12 +21,12 @@ def prop144(space144):
 
 @pytest.fixture(scope="session")
 def scar6():
-    return build_scar(make_scar_config(B_CAT, 6))
+    return build_scar(B_CAT, 6)
 
 
 @pytest.fixture(scope="session")
 def scar12():
-    return build_scar(make_scar_config(B_CAT, 12))
+    return build_scar(B_CAT, 12)
 
 
 @pytest.fixture(scope="session")

@@ -106,8 +106,8 @@ def test_06_scar_eigenresidual(scar6, tensor144, space144):
 
 
 def test_07_norm_limit_trend(scar6, scar12):
-    err6 = abs(scar6.norm_squared() - S1(scar6.config.lam))
-    err12 = abs(scar12.norm_squared() - S1(scar12.config.lam))
+    err6 = abs(scar6.norm_squared() - S1(scar6.lam))
+    err12 = abs(scar12.norm_squared() - S1(scar12.lam))
     report(7, "norm-limit-trend", err12 < err6,
            "err_k6=%.3e err_k12=%.3e" % (err6, err12))
 

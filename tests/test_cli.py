@@ -66,7 +66,7 @@ def test_invariant_errors_exit_three(tmp_path, monkeypatch):
     import catlab.scars
     def boom(*a, **k):
         raise AssertionError("forced invariant failure")
-    monkeypatch.setattr(catlab.scars, "make_scar_config", boom)
+    monkeypatch.setattr(catlab.scars, "build_scar", boom)
     rc = main(["scar-build", "--matrix", CAT, "--k", "6",
                "--out", str(tmp_path)])
     assert rc == 3
@@ -78,7 +78,7 @@ def test_memory_error_exits_three(tmp_path, monkeypatch, capsys):
     import catlab.scars
     def boom(*a, **k):
         raise MemoryError("Unable to allocate 35.8 GiB")
-    monkeypatch.setattr(catlab.scars, "make_scar_config", boom)
+    monkeypatch.setattr(catlab.scars, "build_scar", boom)
     rc = main(["scar-build", "--matrix", CAT, "--k", "24",
                "--out", str(tmp_path)])
     assert rc == 3
@@ -93,6 +93,7 @@ def test_scar_build_refuses_oversized_orbit(tmp_path, monkeypatch, capsys):
     import catlab.scars
     def unreachable(*a, **k):
         raise AssertionError("a length-N array was about to be allocated")
+    monkeypatch.setattr(catlab.scars, "ScarEnsemble", unreachable)
     monkeypatch.setattr(catlab.scars, "metaplectic_sl2", unreachable)
     monkeypatch.setattr(catlab.hilbert, "project_gaussian", unreachable)
     rc = main(["scar-build", "--matrix", CAT, "--k", "24",
@@ -159,6 +160,25 @@ def test_scar_density(tmp_path):
     assert max(pgm[header_end:]) == 255  # max-normalized
     csv_lines = (tmp_path / "scar-density-0.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 144 * 144
+
+
+def test_scar_density_computes_each_row_once(tmp_path, monkeypatch):
+    # at N = 144 <= 1024 one pass over the rows feeds the max, the PGM and
+    # the CSV
+    import catlab.scars
+    lengths = []
+    density_rows = catlab.scars.ScarEnsemble.density_rows
+
+    def counted(self, center):
+        for row in density_rows(self, center):
+            lengths.append(len(row))
+            yield row
+
+    monkeypatch.setattr(catlab.scars.ScarEnsemble, "density_rows", counted)
+    assert main(["scar-density", "--matrix", CAT, "--k", "6", "--center",
+                 "--out", str(tmp_path)]) == 0
+    assert lengths == [144] * 144
+    assert (tmp_path / "scar-density-0.csv").exists()
 
 
 def test_write_pgm_streams_rows(tmp_path):
@@ -232,11 +252,16 @@ DEGENERATE_GALOIS = [
     ["scar-build", "--matrix", CAT, "--k", "-6"],
     ["galois-sample", "--count", "0"],
     ["galois-sample", "--word-length", "-1", "--count", "2"],
-] + [argv for argv, _ in DEGENERATE_GALOIS])
+] + [argv for argv, _ in DEGENERATE_GALOIS] + [
+    ["scar-scan", "--matrix", CAT, "--k", "6", "--window", "-1"],
+    ["overlap-test", "--matrix", CAT, "--count", "-3"],
+    ["overlap-test", "--matrix", CAT, "--count", "0"],
+])
 def test_bad_arguments_exit_two(tmp_path, capsys, argv):
     # a --c without exactly two values, N < 1, k < 0, count < 1, a
-    # negative word length and the degenerate Galois arguments are
-    # preconditions: exit 2 with a JSON diagnostic, never a traceback
+    # negative word length or scan window and the degenerate Galois
+    # arguments are preconditions: exit 2 with a JSON diagnostic, never a
+    # traceback
     assert main(argv + ["--out", str(tmp_path)]) == 2
     out = read_json(tmp_path / ("%s-0.json" % argv[0]))
     assert out["kind"] == "precondition"

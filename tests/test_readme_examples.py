@@ -1,0 +1,41 @@
+import importlib.util
+import os
+import shlex
+
+from catlab.cli import main
+
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "scripts", "readme_examples.py")
+
+# the artifacts the README examples write at seed 0
+ARTIFACTS = sorted([
+    "check-matrix-0.json", "periods-0.json", "scar-build-0.json",
+    "scar-scan-0.csv", "scar-density-0.pgm", "scar-density-0.csv",
+    "overlap-test-0.csv", "lattice-sum-0.json", "galois-census-0.csv",
+    "galois-certify-0.json", "galois-sample-0.csv", "galois-sample-0.json",
+    "galois-power-scan-0.json", "sl2-census-0.csv", "fup-porosity-0.json",
+    "fup-scan-0.csv", "fup-scan-0.json", "up-basic-0.csv",
+    "up-basic-0.json",
+])
+
+
+def _example_lines():
+    spec = importlib.util.spec_from_file_location("readme_examples", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.example_lines()
+
+
+def test_readme_examples_are_byte_identical_across_runs(tmp_path):
+    # Every README example exits 0, together they write the 19 artifacts,
+    # and a second run into a fresh directory writes the same bytes.
+    lines = _example_lines()
+    assert lines
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        for line in lines:
+            assert main(shlex.split(line)[1:] + ["--out", str(out)]) == 0, line
+        assert sorted(os.listdir(out)) == ARTIFACTS
+    for name in ARTIFACTS:
+        assert ((runs[0] / name).read_bytes()
+                == (runs[1] / name).read_bytes()), name

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,11 +7,11 @@ import numpy as np
 import pytest
 
 import catlab.scars
-from catlab import (S1, SymplecticMatrix, admissible_N, build_scar,
-                    gaussian_autocorrelation,
-                    lattice_overlap_sum, make_scar_config, metaplectic_sl2,
+from catlab import (S1, ScarEnsemble, SymplecticMatrix, admissible_N,
+                    build_scar, gaussian_autocorrelation,
+                    lattice_overlap_sum, metaplectic_sl2,
                     overlap_closed_form, overlap_quadrature,
-                    project_gaussian, semiclassical_scan,
+                    position_density, project_gaussian, semiclassical_scan,
                     torus_autocorrelation)
 from catlab.hilbert import LatticeTranslation, StateSpace
 from catlab.metaplectic import Propagator, period_phase
@@ -397,20 +396,19 @@ def test_reduce_brings_powers_to_the_identity():
             assert WAWt.tolist() == [[1, 0], [0, 1]], (B, q)
 
 
-def test_make_scar_config_validation():
+def test_build_scar_validation():
     with pytest.raises(ValueError):
-        make_scar_config([[2, 3], [1, 2]], 6)  # not symmetric
+        build_scar([[2, 3], [1, 2]], 6)  # not symmetric
     with pytest.raises(ValueError):
-        make_scar_config([[-2, 1], [1, -1]], 6)  # trace -3
+        build_scar([[-2, 1], [1, -1]], 6)  # trace -3
     with pytest.raises(ValueError):
-        make_scar_config(B_CAT, 4)  # odd trace needs k = 0 mod 6
+        build_scar(B_CAT, 4)  # odd trace needs k = 0 mod 6
 
 
 def test_scar_config_values(scar6):
-    cfg = scar6.config
-    assert (cfg.k, cfg.N, cfg.P) == (6, 144, 12)
+    assert (scar6.N, scar6.P) == (144, 12)
     assert abs(scar6.phi) < 1e-8
-    assert abs(cfg.lam - LAM) < 1e-14
+    assert abs(scar6.lam - LAM) < 1e-14
 
 
 def test_factored_matches_materialized(scar6):
@@ -430,7 +428,7 @@ def test_ensemble_holds_one_orbit_array(scar12):
     # second orbit array, no P x N copy of U V or conj(V).
     tracemalloc.start()
     try:
-        scar = build_scar(scar12.config)
+        scar = build_scar(B_CAT, 12)
         me = scar.matrix_element((1, 2), (0, -1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -439,12 +437,12 @@ def test_ensemble_holds_one_orbit_array(scar12):
     assert peak < 1.5 * scar.V.nbytes
 
 
-def _reference_dmat(scar, j):
+def _per_j_reference(scar, j):
     """
     The per-j D_j that the window kernel replaced: U_{j/N} applied to each
     row of V, then conj(D) = conj(U V) @ V^T in blocks of 8 rows.
     """
-    U = LatticeTranslation(scar.space, j)
+    U = LatticeTranslation(scar.M.space, j)
     V, P = scar.V, scar.P
     D = np.empty((P, P), dtype=np.complex128)
     for lo in range(0, P, 8):
@@ -461,25 +459,27 @@ def test_window_kernel_matches_per_j_reference(fixture, request):
     # One pass fills the window and far vectors, whose entries reduce mod
     # 2N to large residues (at N = 46368, (98765, -123457) is
     # (6029, -30721)), and (N, N), which is its own negative.
-    scar = build_scar(request.getfixturevalue(fixture).config)
+    built = request.getfixturevalue(fixture)
+    scar = ScarEnsemble(built.B, built.N, built.P)  # empty caches
     N = scar.N
     far = [(7, -3), (98765, -123457), (-98765, 123457), (N, N), (3 * N, -N)]
     Ds = scar._dmats_of(WINDOW2 + far)
     for j, D in zip(WINDOW2 + far, Ds):
-        assert np.abs(D - _reference_dmat(scar, j)).max() <= 1e-13, j
+        assert np.abs(D - _per_j_reference(scar, j)).max() <= 1e-13, j
     # U_{-j} = U_j^dagger: one of each pair is computed, the other is
     # its conjugate transpose
     for j in WINDOW2 + far[:2]:
         Dj, Dneg = scar._dmats_of([j, (-j[0], -j[1])])
         if j != (0, 0):
             assert np.array_equal(Dneg, Dj.conj().T)
-    assert scar._dmat((N + 2, -N - 1)) is scar._dmat((-N + 2, N - 1))
+    far_j, same_residue = scar._dmats_of([(N + 2, -N - 1), (-N + 2, N - 1)])
+    assert far_j is same_residue
 
 
 def test_window_kernel_memory(scar12):
     # The k = 12 window-2 set is filled from column chunks: its work
     # arrays stay far below one P x N array.
-    scar = build_scar(scar12.config)
+    scar = build_scar(B_CAT, 12)
     tracemalloc.start()
     try:
         scar._dmats_of(WINDOW2)
@@ -498,7 +498,7 @@ def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
         return grams(V, ms)
 
     monkeypatch.setattr(catlab.scars, "_translation_grams", counted)
-    scar = build_scar(scar6.config)
+    scar = build_scar(B_CAT, 6)
     rows = semiclassical_scan(scar, 2)
     assert passes == [13]  # 25 vectors, 12 +- pairs and j = 0
     # each D_j is the same whatever else its pass filled
@@ -508,7 +508,7 @@ def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
 def test_matrix_element_permutes_each_d_once(scar6):
     # a window-2 scan permutes each of its 25 distinct D_k once, and the
     # cached copy is the same array operation as permuting on every call
-    scar = build_scar(scar6.config)
+    scar = build_scar(B_CAT, 6)
     semiclassical_scan(scar, 2)
     assert len(scar._wdmats) == 25
     w = scar.wperm
@@ -523,9 +523,8 @@ def test_build_scar_checks_the_period_phase(scar6):
     # The orbit's closing apply checks M^P G_N = e^{i phi} G_N, so an orbit
     # one step short fails.  (Half a period would pass: M^{P/2} G_N is a
     # multiple of G_N for the cat map.)
-    cfg = scar6.config
     with pytest.raises(AssertionError, match="M\\^P G_N"):
-        build_scar(dataclasses.replace(cfg, P=cfg.P - 1))
+        ScarEnsemble(scar6.B, scar6.N, scar6.P - 1)
 
 
 @pytest.mark.parametrize("fixture", ["scar6", "scar12"])
@@ -539,7 +538,7 @@ def test_scar_phase_matches_period_phase(fixture, request):
 
 @pytest.mark.parametrize("k", [6, 12])
 def test_scar_applies_m_once_per_period_step(k, monkeypatch):
-    # Config plus build apply M exactly P times, each to one state: the
+    # Building a scar applies M exactly P times, each to one state: the
     # orbit M^s G_N for s < P and its closing step.
     shapes = []
     apply_array = Propagator.apply_array
@@ -549,8 +548,17 @@ def test_scar_applies_m_once_per_period_step(k, monkeypatch):
         return apply_array(self, c)
 
     monkeypatch.setattr(Propagator, "apply_array", counted)
-    scar = build_scar(make_scar_config(B_CAT, k))
+    scar = build_scar(B_CAT, k)
     assert shapes == [(scar.N,)] * scar.P
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_density_rows_match_position_density(scar6, center):
+    # the streamed rows against the grid of the dense state
+    rows = np.array(list(scar6.density_rows(center)))
+    grid = position_density(scar6.materialize(), center)
+    assert rows.shape == grid.shape == (scar6.N, scar6.N)
+    assert np.abs(rows - grid).max() <= 1e-15 * grid.max()
 
 
 def test_scar_is_tensor_eigenfunction(scar6, tensor144):
