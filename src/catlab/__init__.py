@@ -8,8 +8,8 @@ from .symplectic import (SymplecticMatrix, CharPoly, is_symplectic,
                          char_poly, phi_A, quantization_admissible,
                          quantum_period, admissible_N)
 from .hilbert import (StateSpace, QuantumState, TrigObservable,
-                      translation, weyl_quantize, project_gaussian,
-                      tensor, position_density)
+                      weyl_quantize, project_gaussian, tensor,
+                      position_density)
 from .metaplectic import (Propagator, PeriodPhase, metaplectic_sl2,
                           metaplectic_adjoint,
                           rotation_propagator, tensor_propagator,

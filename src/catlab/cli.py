@@ -17,6 +17,8 @@ import tempfile
 
 import numpy as np
 
+from . import fup, galois, hilbert, metaplectic, scars, symplectic
+
 
 def _set_threads(threads):
     if threads:
@@ -95,46 +97,41 @@ def _out_path(args, ext):
 
 
 def cmd_check_matrix(args):
-    from . import symplectic as sp
     M = parse_matrix(args.matrix)
-    ok = sp.is_symplectic(M)
+    ok = symplectic.is_symplectic(M)
     report = {"matrix": M, "symplectic": ok}
     if ok:
-        A = sp.SymplecticMatrix(M)
-        cp = sp.char_poly(A)
+        A = symplectic.SymplecticMatrix(M)
+        cp = symplectic.char_poly(A)
         report.update({"char_poly": list(cp.coeffs),
                        "reciprocal": cp.reciprocal,
-                       "phi": list(sp.phi_A(A))})
+                       "phi": list(symplectic.phi_A(A))})
     write_json(_out_path(args, "json"), report)
 
 
 def cmd_periods(args):
-    from . import symplectic as sp
-    A = sp.SymplecticMatrix(parse_matrix(args.matrix))
-    nk = sp.admissible_N(A, args.k)
-    P = sp.quantum_period(A, nk.value)
+    A = symplectic.SymplecticMatrix(parse_matrix(args.matrix))
+    nk = symplectic.admissible_N(A, args.k)
+    P = symplectic.quantum_period(A, nk.value)
     write_json(_out_path(args, "json"),
                {"k": args.k, "N": nk.value, "P": P, "N_even": nk.even,
                 "admissible": nk.admissible})
 
 
 def cmd_scar_build(args):
-    from . import scars
     scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     norm2 = scar.norm_squared()
     report = {"N": scar.N, "P": scar.P, "phi": scar.phi, "lambda": scar.lam,
               "norm2": norm2, "S1": scars.S1(scar.lam),
               "norm2_error": abs(norm2 - scars.S1(scar.lam))}
     if scar.N ** 2 <= scars.MATERIALIZE_LIMIT:
-        from .hilbert import StateSpace
-        from .metaplectic import tensor_propagator
-        MM = tensor_propagator(StateSpace(2, scar.N), scar.M, scar.M)
+        MM = metaplectic.tensor_propagator(hilbert.StateSpace(2, scar.N),
+                                           scar.M, scar.M)
         report["eigenresidual"] = scar.eigen_residual(MM)
     write_json(_out_path(args, "json"), report)
 
 
 def cmd_scar_scan(args):
-    from . import scars
     scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     rows = scars.semiclassical_scan(scar, args.window)
     write_csv(_out_path(args, "csv"),
@@ -145,7 +142,6 @@ def cmd_scar_scan(args):
 
 
 def cmd_scar_density(args):
-    from . import scars
     scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     N = scar.N
     # At N <= 1024 the rows (at most 8 MB) are kept for the max, the PGM
@@ -168,7 +164,6 @@ def cmd_scar_density(args):
 
 
 def cmd_overlap_test(args):
-    from . import scars
     if args.count < 1:
         raise ValueError("overlap-test needs count >= 1")
     B = parse_matrix(args.matrix)
@@ -194,7 +189,6 @@ def cmd_overlap_test(args):
 
 
 def cmd_lattice_sum(args):
-    from . import scars
     c = [float(v) for v in args.c.split(",")] if args.c else [0.0, 0.0]
     if len(c) != 2 or args.N < 1:
         raise ValueError("lattice-sum needs N >= 1 and exactly two --c values")
@@ -207,7 +201,6 @@ def cmd_lattice_sum(args):
 
 
 def cmd_galois_census(args):
-    from . import galois
     rows = []
     for ell in [int(v) for v in args.ells.split(",")]:
         census = galois.reciprocal_census(ell, args.n)
@@ -219,7 +212,6 @@ def cmd_galois_census(args):
 
 
 def cmd_galois_certify(args):
-    from . import galois
     coeffs = [int(v) for v in args.poly.split(",")]
     cert = galois.certify_wreath(coeffs, args.prime_bound)
     write_json(_out_path(args, "json"),
@@ -231,7 +223,6 @@ def cmd_galois_certify(args):
 
 
 def cmd_galois_sample(args):
-    from . import galois, symplectic
     mats = galois.sample_sp(args.n, args.word_length, args.count,
                             seed=args.seed)
     verdicts = {}
@@ -251,7 +242,6 @@ def cmd_galois_sample(args):
 
 
 def cmd_galois_power_scan(args):
-    from . import galois
     scan = galois.power_scan(parse_matrix(args.matrix), args.m_max,
                              args.prime_bound)
     per_m = []
@@ -267,18 +257,17 @@ def cmd_galois_power_scan(args):
 
 
 def cmd_sl2_census(args):
-    from . import galois
     counts = galois.sl2_census(args.ell)
     write_csv(_out_path(args, "csv"), ["t", "count"],
               sorted(counts.items()))
 
 
 def cmd_fup_porosity(args):
-    from . import fup
     X = fup.cantor_set(args.depth)
     if args.mode == "lines":
         X = fup.product_set(X, X)
-    ok, ce = fup.porosity_check(X, args.nu, args.alpha0, args.alpha1,
+    alpha0 = 3.0 ** (-args.depth) if args.alpha0 is None else args.alpha0
+    ok, ce = fup.porosity_check(X, args.nu, alpha0, args.alpha1,
                                 mode=args.mode)
     write_json(_out_path(args, "json"),
                {"depth": args.depth, "nu": args.nu, "mode": args.mode,
@@ -286,7 +275,6 @@ def cmd_fup_porosity(args):
 
 
 def cmd_fup_scan(args):
-    from . import fup
     depths = [int(v) for v in args.depths.split(",")]
     run = fup.scaling_experiment("fup", depths=depths)
     write_csv(_out_path(args, "csv"), ["M", "h", "norm"],
@@ -298,7 +286,6 @@ def cmd_fup_scan(args):
 
 
 def cmd_up_basic(args):
-    from . import fup
     run = fup.scaling_experiment("basic", delta=args.delta)
     write_csv(_out_path(args, "csv"), ["M", "h", "norm"],
               list(zip(run.sizes, run.hs, run.norms)))
@@ -380,8 +367,6 @@ def main(argv=None):
             return 2
         return 0
     _set_threads(args.threads)
-    if args.subcommand == "fup-porosity" and args.alpha0 is None:
-        args.alpha0 = 3.0 ** (-args.depth)
     try:
         globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         return 0

@@ -13,6 +13,16 @@ import math
 
 import numpy as np
 
+# Largest allocation, in bytes, that cantor_set, the stencil counts and
+# fup_norm accept; above it they raise before allocating.
+FUP_MAX_BYTES = 2 * 2 ** 30
+
+
+def _check_bytes(need, what):
+    if need > FUP_MAX_BYTES:
+        raise ValueError("%s needs %d bytes, above FUP_MAX_BYTES = %d"
+                         % (what, need, FUP_MAX_BYTES))
+
 
 @dataclass(frozen=True)
 class DiscreteSet:
@@ -49,19 +59,17 @@ def full_set(M, dims=1):
 
 def cantor_set(depth):
     """Mid-third Cantor iterate: M = 3^depth, cells with no digit 1."""
+    if depth < 0:
+        raise ValueError("Cantor depth must be >= 0")
     M = 3 ** depth
-    cells = []
-    for j in range(M):
-        v = j
-        ok = True
-        while v:
-            if v % 3 == 1:
-                ok = False
-                break
-            v //= 3
-        if ok:
-            cells.append((j,))
-    return DiscreteSet(M, 1, frozenset(cells))
+    # the digit array, one remainder temporary and two masks
+    _check_bytes(18 * M, "a depth-%d Cantor digit test" % depth)
+    digits = np.arange(M)
+    keep = np.ones(M, dtype=bool)
+    for _ in range(depth):
+        keep &= digits % 3 != 1
+        digits //= 3
+    return DiscreteSet(M, 1, frozenset(np.flatnonzero(keep).tolist()))
 
 
 def product_set(X, Y):
@@ -77,6 +85,21 @@ def _norm2(r, d):
     return np.sum((np.indices((2 * r + 1,) * d) - r) ** 2, axis=0)
 
 
+def _fft_size(M, d, r, K):
+    """
+    The FFT length n of a _hits call on a size-M grid with K stencils of
+    radius r.  Refuses the call when its int32 counts and FFT work arrays
+    (at most eight of n^d float64 at once) would exceed FUP_MAX_BYTES,
+    so callers size it before they build the mask.
+    """
+    n = max(M, r) + r + 1
+    while 30 ** n.bit_length() % n:  # 5-smooth sizes keep the FFT fast
+        n += 1
+    _check_bytes(4 * (M + 1) ** d * K + 64 * n ** d,
+                 "a %d-stencil count at M = %d, d = %d" % (K, M, d))
+    return n
+
+
 def _hits(mask, stencils):
     """
     counts[c, k] = #{v : stencils[r + v, k] and mask[c + v]} for every
@@ -85,9 +108,7 @@ def _hits(mask, stencils):
     a zero-padded FFT correlation, rounded; a residual >= 0.25 raises.
     """
     d, M, r = mask.ndim, mask.shape[0], stencils.shape[0] // 2
-    n = max(M, r) + r + 1
-    while 30 ** n.bit_length() % n:  # 5-smooth sizes keep the FFT fast
-        n += 1
+    n = _fft_size(M, d, r, stencils.shape[-1])
     size, axes = (n,) * d, tuple(range(d))
     spec = np.fft.rfftn(mask, size, axes)
     keep = (slice(r, r + M + 1),) * d
@@ -106,6 +127,7 @@ def neighborhood(X, delta):
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     r = math.ceil(delta * X.M)
+    _fft_size(X.M, X.dims, r, 1)
     ball = (_norm2(r, X.dims) <= r * r)[..., None]
     dil = _hits(X.mask(), ball)[(slice(X.M),) * X.dims + (0,)] > 0
     return DiscreteSet(X.M, X.dims, frozenset(map(tuple, np.argwhere(dil))))
@@ -142,9 +164,15 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
         raise ValueError("mode must be 'balls' or 'lines'")
     if mode == "lines" and X.dims != 2:
         raise ValueError("lines mode requires d = 2")
-    M, d, mask = X.M, X.dims, X.mask()
-    R = alpha0
-    while R <= alpha1 * (1 + 1e-12):
+    scales = [alpha0]
+    while scales[-1] * 2 <= alpha1 * (1 + 1e-12):
+        scales.append(scales[-1] * 2)
+    M, d = X.M, X.dims
+    # the widest window, at the last scale, is the largest count
+    _fft_size(M, d, max(1, int(round(scales[-1] * M))),
+              len(_DIRECTIONS) if mode == "lines" else 1)
+    mask = X.mask()
+    for R in scales:
         r = max(1, int(round(R * M)))
         need = nu * R * M
         near = (np.sqrt(_norm2(math.ceil(need), d)) < need)[..., None]
@@ -162,7 +190,6 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
                 return False, {"R": R, "center": c}
             return False, {"R": R, "segment_center": c,
                            "direction": tuple(_DIRECTIONS[hit[0][d]])}
-        R *= 2
     return True, None
 
 
@@ -180,6 +207,9 @@ def fup_norm(X_minus, X_plus):
         raise ValueError("sets must share a grid size")
     if not X_minus.cells or not X_plus.cells:
         return 0.0
+    shape = (len(X_minus.cells), len(X_plus.cells))
+    # the phase matrix, its scaled copy and the copy the SVD factors
+    _check_bytes(48 * shape[0] * shape[1], "a %d x %d DFT submatrix" % shape)
     M = X_minus.M
     rows = X_minus.indices()
     cols = X_plus.indices()
@@ -208,8 +238,8 @@ class ScalingRun:
 
 
 def _fit_slope(hs, norms):
-    if len(hs) < 4:
-        raise ValueError("regression needs at least 4 sizes")
+    if len(set(hs)) < 4:
+        raise ValueError("regression needs at least 4 distinct sizes")
     return float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
 
 

@@ -8,7 +8,6 @@ angle theta is 0 throughout.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -50,10 +49,6 @@ class QuantumState:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def inner(self, other):
-        """<self, other>, conjugate-linear in the second slot."""
-        return complex(np.vdot(other.coeffs, self.coeffs))
-
 
 def basis_state(space, index):
     c = np.zeros(space.dim, dtype=np.complex128)
@@ -82,13 +77,6 @@ def _dense_matrix(apply_array, dim, what):
 def _lattice_residue(m, N):
     """Each entry of the integer vector m reduced mod 2N into (-N, N]."""
     return tuple(N - (N - int(v)) % (2 * N) for v in m)
-
-
-def sigma_lattice(m1, m2):
-    """sigma(m1, m2) for integer interleaved vectors, exact."""
-    n = len(m1) // 2
-    return sum(m1[2 * i + 1] * m2[2 * i] - m2[2 * i + 1] * m1[2 * i]
-               for i in range(n))
 
 
 class LatticeTranslation:
@@ -138,22 +126,8 @@ class LatticeTranslation:
             c = c * self._phases[axis].reshape(shape)
         return c.reshape(batch + (N ** n,))
 
-    def apply(self, state):
-        return QuantumState(state.space, self.apply_array(state.coeffs))
-
     def dense(self):
         return _dense_matrix(self.apply_array, self.space.dim, "translation")
-
-
-def translation(space, w):
-    """U_w for w in (1/N) Z^{2n}; w entries rational or float."""
-    m = []
-    for v in w:
-        mv = Fraction(v).limit_denominator(10 ** 9) * space.N
-        if mv.denominator != 1:
-            raise ValueError("w must lie on the (1/N) lattice")
-        m.append(int(mv))
-    return LatticeTranslation(space, m)
 
 
 @dataclass(frozen=True)
@@ -166,15 +140,6 @@ class TrigObservable:
     def from_dict(d):
         return TrigObservable(tuple(sorted(
             (tuple(int(v) for v in j), complex(c)) for j, c in d.items())))
-
-    def is_real(self):
-        d = dict(self.terms)
-        return all(tuple(-v for v in j) in d
-                   and abs(np.conj(c) - d[tuple(-v for v in j)]) < 1e-12
-                   for j, c in self.terms)
-
-    def coeff_sum(self):
-        return float(sum(abs(c) for _, c in self.terms))
 
 
 class QuantizedObservable:
@@ -194,9 +159,6 @@ class QuantizedObservable:
         for U, coef in self._translations:
             out += coef * U.apply_array(c)
         return out
-
-    def apply(self, state):
-        return QuantumState(state.space, self.apply_array(state.coeffs))
 
     @property
     def dense(self):

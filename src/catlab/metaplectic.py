@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .hilbert import (DENSE_LIMIT, LatticeTranslation, QuantumState,
-                      _dense_matrix)
+from .hilbert import DENSE_LIMIT, LatticeTranslation, _dense_matrix
 from .symplectic import SymplecticMatrix
 
 
@@ -37,9 +36,6 @@ class Propagator:
 
     def apply_array(self, c):
         return self._apply_array(np.asarray(c, dtype=np.complex128))
-
-    def apply(self, state):
-        return QuantumState(state.space, self.apply_array(state.coeffs))
 
     @property
     def dense(self):
@@ -159,6 +155,8 @@ def egorov_defect(P, window):
     U_{j/N} is monomial, so U M is its batched apply to the columns of M,
     and each shift costs one product M^H (U M).
     """
+    if window < 0:
+        raise ValueError("Egorov window must be >= 0")
     space = P.space
     A_inv = P.classical.inverse()
     M = P.dense
@@ -191,6 +189,8 @@ def period_phase(P, period, probes=None, tol=PERIOD_PHASE_TOL):
     Streamed path: phi from M^period e_0, with the identity defect
     estimated on e_0 plus any supplied probe vectors.
     """
+    if period < 1:
+        raise ValueError("period must be >= 1")
     space = P.space
     if space.dim <= DENSE_LIMIT:
         Mp = np.linalg.matrix_power(P.dense, period)

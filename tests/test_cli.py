@@ -256,10 +256,15 @@ DEGENERATE_GALOIS = [
     ["scar-scan", "--matrix", CAT, "--k", "6", "--window", "-1"],
     ["overlap-test", "--matrix", CAT, "--count", "-3"],
     ["overlap-test", "--matrix", CAT, "--count", "0"],
+    ["fup-porosity", "--depth", "-1"],
+    ["fup-scan", "--depths=-1,0,1,2"],
+    ["fup-scan", "--depths", "4,4,4,4"],
+    ["fup-porosity", "--depth", "8", "--mode", "lines"],
 ])
 def test_bad_arguments_exit_two(tmp_path, capsys, argv):
     # a --c without exactly two values, N < 1, k < 0, count < 1, a
-    # negative word length or scan window and the degenerate Galois
+    # negative word length, scan window or Cantor depth, repeated scan
+    # depths, an oversized porosity count and the degenerate Galois
     # arguments are preconditions: exit 2 with a JSON diagnostic, never a
     # traceback
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,38 @@ def test_cantor_set_structure():
     assert len(X.cells) == 8
     idx = X.indices().tolist()
     assert idx == [0, 2, 6, 8, 18, 20, 24, 26]
+    for depth in range(8):
+        cells = {(j,) for j in range(3 ** depth)
+                 if "1" not in np.base_repr(j, 3)}
+        assert cantor_set(depth).cells == cells
+    with pytest.raises(ValueError):
+        cantor_set(-1)
+
+
+def _refusal_peak(fn, *args, **kwargs):
+    """tracemalloc peak of a call that must raise FUP_MAX_BYTES."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="FUP_MAX_BYTES"):
+            fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversized_requests_refuse_before_allocating():
+    # a 3^20 digit array; 2.8 GB of lines counts at depth 8; a 10^10-cell
+    # mask; a 12000 x 12000 DFT submatrix
+    X8 = cantor_set(8)
+    XX8 = product_set(X8, X8)
+    lone = DiscreteSet(10 ** 5, 2, frozenset({(0, 0)}))
+    full = full_set(12000)
+    for fn, args, kwargs in [
+            (cantor_set, (20,), {}),
+            (porosity_check, (XX8, 1 / 9, 3.0 ** -8, 1.0), {"mode": "lines"}),
+            (neighborhood, (lone, 0.0), {}),
+            (fup_norm, (full, full), {})]:
+        assert _refusal_peak(fn, *args, **kwargs) < 100_000
 
 
 def test_discrete_set_validation():

@@ -201,6 +201,15 @@ def test_period_phase_wrong_period_raises(prop144):
         period_phase(prop144, 5)
 
 
+def test_oracles_refuse_degenerate_arguments(prop144):
+    # an empty window and M^0 = I would each pass vacuously
+    with pytest.raises(ValueError):
+        egorov_defect(prop144, -1)
+    for period in (0, -12):
+        with pytest.raises(ValueError):
+            period_phase(prop144, period)
+
+
 def test_period_phase_streamed_matches_dense():
     # force the streamed path with a tiny materialization limit
     import catlab.metaplectic as mp
