@@ -155,11 +155,15 @@ def cmd_scar_density(args):
         rows = scar.density_rows(args.center)
     write_pgm(_out_path(args, "pgm"), rows, (N, N), maxval)
     if N <= 1024:
-        # the bytes write_csv gives (ints, then floats at 17 digits)
+        # the bytes write_csv gives (ints, then floats at 17 digits): one
+        # template per row, with j2 filled in, takes j1 and each value
+        template = "".join("%%d,%d,%%.17g\n" % j2 for j2 in range(N))
+        fields = [0] * (2 * N)
         lines = ["j1,j2,density\n"]
         for j1, row in enumerate(rows):
-            lines.extend("%d,%d,%.17g\n" % (j1, j2, v)
-                         for j2, v in enumerate(row.tolist()))
+            fields[0::2] = [j1] * N
+            fields[1::2] = row.tolist()
+            lines.append(template % tuple(fields))
         _atomic_write(_out_path(args, "csv"), "".join(lines))
 
 

@@ -24,6 +24,18 @@ def _check_bytes(need, what):
                          % (what, need, FUP_MAX_BYTES))
 
 
+def _check_cantor(depth):
+    if depth < 0:
+        raise ValueError("Cantor depth must be >= 0")
+    # the digit array, one remainder temporary and two masks
+    _check_bytes(18 * 3 ** depth, "a depth-%d Cantor digit test" % depth)
+
+
+def _check_submatrix(shape):
+    # the phase matrix, its scaled copy and the copy the SVD factors
+    _check_bytes(48 * shape[0] * shape[1], "a %d x %d DFT submatrix" % shape)
+
+
 @dataclass(frozen=True)
 class DiscreteSet:
     M: int
@@ -59,11 +71,8 @@ def full_set(M, dims=1):
 
 def cantor_set(depth):
     """Mid-third Cantor iterate: M = 3^depth, cells with no digit 1."""
-    if depth < 0:
-        raise ValueError("Cantor depth must be >= 0")
+    _check_cantor(depth)
     M = 3 ** depth
-    # the digit array, one remainder temporary and two masks
-    _check_bytes(18 * M, "a depth-%d Cantor digit test" % depth)
     digits = np.arange(M)
     keep = np.ones(M, dtype=bool)
     for _ in range(depth):
@@ -207,9 +216,7 @@ def fup_norm(X_minus, X_plus):
         raise ValueError("sets must share a grid size")
     if not X_minus.cells or not X_plus.cells:
         return 0.0
-    shape = (len(X_minus.cells), len(X_plus.cells))
-    # the phase matrix, its scaled copy and the copy the SVD factors
-    _check_bytes(48 * shape[0] * shape[1], "a %d x %d DFT submatrix" % shape)
+    _check_submatrix((len(X_minus.cells), len(X_plus.cells)))
     M = X_minus.M
     rows = X_minus.indices()
     cols = X_plus.indices()
@@ -237,9 +244,12 @@ class ScalingRun:
     theory_slope: float
 
 
-def _fit_slope(hs, norms):
+def _check_sizes(hs):
     if len(set(hs)) < 4:
         raise ValueError("regression needs at least 4 distinct sizes")
+
+
+def _fit_slope(hs, norms):
     return float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
 
 
@@ -270,19 +280,27 @@ def scaling_experiment(kind, delta=None, sizes=None, depths=None):
     fitted slope vs the theory slope (2 delta - 1) / 2 of dimension d = 1.
     kind="fup": Cantor-pair DFT submatrix norms across depths, fitted
     decay exponent beta (theory slope unknown; reported as nan).
+    Both refuse before their first SVD: fewer than 4 distinct sizes, and
+    for "fup" a negative depth or one whose digit test or 2^r x 2^r
+    submatrix would exceed FUP_MAX_BYTES.
     """
     if kind == "basic":
         if not 0.5 <= delta < 1:
             raise ValueError("delta must lie in [1/2, 1)")
         sizes = sizes or [2 ** e for e in range(8, 15)]
         hs = [1.0 / M for M in sizes]
+        _check_sizes(hs)
         norms = [basic_uncertainty_norm(M, delta) for M in sizes]
         return ScalingRun(kind, tuple(sizes), tuple(hs), tuple(norms),
                           _fit_slope(hs, norms), (2 * delta - 1) / 2)
     if kind == "fup":
         depths = depths or list(range(4, 10))
+        for r in depths:
+            _check_cantor(r)
+            _check_submatrix((2 ** r, 2 ** r))
         sizes = [3 ** r for r in depths]
         hs = [1.0 / M for M in sizes]
+        _check_sizes(hs)
         norms = []
         for r in depths:
             X = cantor_set(r)

@@ -126,6 +126,19 @@ class LatticeTranslation:
             c = c * self._phases[axis].reshape(shape)
         return c.reshape(batch + (N ** n,))
 
+    def monomial(self):
+        """
+        U as a monomial matrix: (src, phase) with (U c)[i] = phase[i]
+        c[src[i]] over the raveled index i, so U[i, src[i]] = phase[i].
+        """
+        N, n = self.space.N, self.space.n
+        src = np.arange(N ** n).reshape((N,) * n)
+        phase = np.ones(1, dtype=np.complex128)
+        for axis in range(n):
+            src = np.roll(src, self._shifts[axis], axis=axis)
+            phase = np.multiply.outer(phase, self._phases[axis])
+        return src.ravel(), phase.ravel()
+
     def dense(self):
         return _dense_matrix(self.apply_array, self.space.dim, "translation")
 

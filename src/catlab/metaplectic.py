@@ -152,8 +152,11 @@ def egorov_defect(P, window):
     """
     max over lattice j, |j|_inf <= window, of
     ||M^{-1} U_{j/N} M - U_{A^{-1} j / N}||_max on the dense path.
-    U_{j/N} is monomial, so U M is its batched apply to the columns of M,
-    and each shift costs one product M^H (U M).
+    U_{j/N} is monomial, so U M is a phased gather of the rows of M, and
+    each shift costs one product M^H (U M).  U_{-j} = U_j^dagger exactly
+    (the phases are reduced mod 2N in integers), so the difference at -j
+    is the conjugate transpose of the one at j, with the same largest
+    entry: only j = 0 and one j of each +-j pair is formed.
     """
     if window < 0:
         raise ValueError("Egorov window must be >= 0")
@@ -161,11 +164,18 @@ def egorov_defect(P, window):
     A_inv = P.classical.inverse()
     M = P.dense
     Mh = M.conj().T
+    rows = np.arange(space.dim)
     worst = 0.0
     for j in itertools.product(range(-window, window + 1), repeat=2 * space.n):
-        UM = LatticeTranslation(space, j).apply_array(M.T).T
-        target = LatticeTranslation(space, A_inv.apply(j)).dense()
-        worst = max(worst, float(np.abs(Mh @ UM - target).max()))
+        if j < tuple(-v for v in j):
+            continue
+        src, phase = LatticeTranslation(space, j).monomial()
+        UM = M[src]
+        UM *= phase[:, None]
+        diff = Mh @ UM
+        src, phase = LatticeTranslation(space, A_inv.apply(j)).monomial()
+        diff[rows, src] -= phase
+        worst = max(worst, float(np.abs(diff).max()))
     return worst
 
 

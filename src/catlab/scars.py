@@ -8,8 +8,11 @@ admissible index k, build_scar(B, k) builds the tensor eigenfunction
     v_t = e^{-i phi t / P} M^t G_N,   w_t = v_{t + P/2},
 
 in factored form (P states of length N, never an N^2 vector unless
-explicitly materialized), with the period phase phi read from the
-orbit's closing step M^P G_N = e^{i phi} G_N; together with Gaussian
+explicitly materialized).  M is applied only for the first half of the
+orbit: M^{P/2} = theta T for a signed permutation T known in closed
+form (_half_period_map), so each later state is one gather and multiply
+of the state half a period before.  The period phase phi is read from
+the orbit's closing step M^P G_N = e^{i phi} G_N; together with Gaussian
 overlap closed forms, lattice overlap sums, the exact torus
 autocorrelation, matrix elements, and semiclassical-measure scans.
 """
@@ -345,8 +348,8 @@ def _columns(V, start, count):
 def _translation_grams(V, ms):
     """
     [D_m for m in ms], D_m[t, s] = <U_{m/N} v_t, v_s> for the rows v_t of
-    the P x N array V and residues m = (p, q) in (-N, N]^2.  Since
-    (U_m v)[i] = e^{i pi (2 q i - p q) / N} v[i - p],
+    a ScarEnsemble orbit V (P x N) and residues m = (p, q) in (-N, N]^2.
+    Since (U_m v)[i] = e^{i pi (2 q i - p q) / N} v[i - p],
 
         D_m = e^{-i pi p q / N} sum over column chunks c of
               V[:, c - p] @ (conj(V[:, c]) e^{2 pi i q c / N})^T,
@@ -355,10 +358,16 @@ def _translation_grams(V, ms):
     per distinct q, gathers the shifted columns once per distinct p and
     runs one P x P GEMM per m.  Phases are reduced mod 2N in integers
     before the exp.  The work arrays hold (#q + 1) chunks, never a P x N
-    copy.
+    copy.  The Gram D_0 takes half the flops: row i < P/2 of V is a unit
+    multiple of T applied to row i + P/2, and the signed permutation T
+    keeps inner products, so D_0's two diagonal blocks are equal and only
+    its first P/2 rows are summed; its lower off-diagonal block is the
+    conjugate transpose of the upper one.
     """
     P, N = V.shape
-    acc = {m: np.zeros((P, P), dtype=np.complex128) for m in ms}
+    h = P // 2
+    acc = {m: np.zeros((h if m == (0, 0) else P, P), dtype=np.complex128)
+           for m in ms}
     ps = sorted({p for p, _ in ms})
     qs = sorted({q for _, q in ms})
     conj = np.empty((P, _DMAT_COLS), dtype=np.complex128)
@@ -374,9 +383,43 @@ def _translation_grams(V, ms):
             shifted = _columns(V, lo - p, cols)
             for row, q in zip(phased, qs):
                 if (p, q) in acc:
-                    acc[p, q] += shifted @ row[:, :cols].T
+                    D = acc[p, q]
+                    D += shifted[:len(D)] @ row[:, :cols].T
+    if (0, 0) in acc:
+        top = acc[0, 0]
+        D = acc[0, 0] = np.empty((P, P), dtype=np.complex128)
+        D[:h] = top
+        D[h:, :h] = top[:, h:].conj().T
+        D[h:, h:] = top[:, :h]
     return [np.exp(-1j * np.pi * (p * q % (2 * N)) / N) * acc[p, q]
             for p, q in ms]
+
+
+def _half_period_map(B, N, P):
+    """
+    The signed permutation T with M^{P/2} = theta T, |theta| = 1, as a
+    gather (T x)[j] = weight[j] x[src[j]]: one index array and one complex
+    weight array.  By exact Egorov at even N, B^{P/2} = [[a, beta N],
+    [gamma N, d]] mod 2N gives
+
+        (T x)[(a i + beta N/2) mod N] = (-1)^{a gamma i} x[i],
+
+    and a d = 1 mod N inverts the index: src[j] = d (j - beta N/2) mod N.
+    Raises AssertionError, naming M^P G_N, unless P is even and B^{P/2}
+    is diagonal mod N.
+    """
+    ((a, b), (c, d)) = B.power(P // 2).entries
+    if P % 2 or b % N or c % N:
+        raise AssertionError("M^P G_N: P = %d is odd or B^{P/2} is not "
+                             "diagonal mod N" % P)
+    src = np.arange(N)
+    src -= b // N % 2 * (N // 2)
+    src *= d % N
+    src %= N
+    weight = np.ones(N, dtype=np.complex128)
+    if a * (c // N) % 2:
+        weight[src % 2 == 1] = -1.0
+    return src, weight
 
 
 class ScarEnsemble:
@@ -395,13 +438,37 @@ class ScarEnsemble:
         # is time t = i - P/2 with s = t mod P; M^P G_N = e^{i phi} G_N
         # makes e^{-i phi s / P} g_s = v_t for t < 0 too.  Only V is held,
         # one P x N array, phased in place.
+        h = P // 2
         V = np.empty((P, N), dtype=np.complex128)
         G = hilbert.project_gaussian(space).coeffs
-        g = G
-        for s in range(P):
-            V[(s + P // 2) % P] = g
-            g = self.M.apply_array(g)
-        # g = M^P G_N closes the orbit: phi and the period-phase check on G_N.
+        V[h] = G
+        for s in range(1, h):
+            V[h + s] = self.M.apply_array(V[h + s - 1])
+        # M^{P/2} = theta T with T the signed permutation src, weight: fit
+        # theta on T G_N, held in row 0 (s = P/2), then check M^{P/2} G_N.
+        # np.take in "clip" mode writes straight into the row; the default
+        # mode would buffer a copy.
+        half = self.M.apply_array(V[2 * h - 1])  # M g_{P/2 - 1}
+        src, weight = _half_period_map(B, N, P)
+        np.take(G, src, out=V[0], mode="clip")
+        V[0] *= weight
+        theta = np.vdot(V[0], half)
+        theta /= abs(theta)
+        V[0] *= theta
+        half -= V[0]
+        defect = float(np.abs(half).max())
+        if defect > PERIOD_PHASE_TOL:
+            raise AssertionError("M^P G_N: the half step M^{P/2} G_N is not "
+                                 "theta T G_N (defect %.3e)" % defect)
+        # g_s = theta T g_{s - P/2} for s > P/2: row i from row i + P/2
+        weight *= theta
+        for i in range(1, h):
+            np.take(V[h + i], src, out=V[i], mode="clip")
+            V[i] *= weight
+        del half, src, weight
+        # M^P G_N = M g_{P-1} closes the orbit: phi and the period-phase
+        # check on G_N.
+        g = self.M.apply_array(V[h - 1])
         self.phi = float(np.angle(np.vdot(G, g)))
         defect = float(np.abs(g - np.exp(1j * self.phi) * G).max())
         if defect > PERIOD_PHASE_TOL:
@@ -409,7 +476,7 @@ class ScarEnsemble:
                                  % defect)
         # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
         # s of the orbit state in row i
-        self.wperm = (np.arange(P) + P // 2) % P
+        self.wperm = (np.arange(P) + h) % P
         V *= np.exp(-1j * self.phi * self.wperm / P)[:, None]
         self.V = V
         self._dmats = {}

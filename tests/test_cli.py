@@ -344,6 +344,19 @@ def test_fup_scan(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("depths", ["4,5,6,15", "9,9,9,9"])
+def test_fup_scan_refuses_before_any_work(tmp_path, monkeypatch, depths):
+    # a depth-15 submatrix above FUP_MAX_BYTES and four equal depths are
+    # refused from the whole list, before the first digit test or SVD
+    calls = []
+    monkeypatch.setattr(catlab.fup, "cantor_set", calls.append)
+    monkeypatch.setattr(catlab.fup, "fup_norm", calls.append)
+    assert main(["fup-scan", "--depths", depths,
+                 "--out", str(tmp_path)]) == 2
+    assert read_json(tmp_path / "fup-scan-0.json")["kind"] == "precondition"
+    assert calls == []
+
+
 def test_up_basic(tmp_path):
     assert main(["up-basic", "--delta", "0.75",
                  "--out", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import catlab.metaplectic
 from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
                     metaplectic_adjoint, metaplectic_sl2, period_phase,
                     rotation_propagator, tensor_propagator, weyl_quantize)
@@ -74,6 +75,10 @@ def test_dense_equals_column_by_column_build():
         cols = np.stack([U.apply_array(eye[:, k])
                          for k in range(U.space.dim)], axis=1)
         assert np.array_equal(U.dense(), cols)
+        src, phase = U.monomial()  # U[i, src[i]] = phase[i], else 0
+        mono = np.zeros_like(cols)
+        mono[np.arange(U.space.dim), src] = phase
+        assert np.array_equal(mono, cols)
 
 
 def test_egorov_defect_matches_triple_product():
@@ -100,6 +105,30 @@ def test_egorov_defect_matches_triple_product():
                       (_conjugated(sp2, T), 1)]:
         assert abs(egorov_defect(P, window)
                    - triple_product_defect(P, window)) <= 1e-14
+
+
+def test_egorov_defect_forms_one_product_per_pm_pair(monkeypatch):
+    # j = 0 and one j of each +-j pair: 5 of 9 shifts at window 1 and 13
+    # of 25 at window 2.  Each shift builds its translation, then its
+    # target U_{A^-1 j}.
+    P = metaplectic_sl2(SP34, CAT)
+    P.dense
+    made = []
+
+    class Counted(LatticeTranslation):
+        def __init__(self, space, m):
+            made.append(tuple(int(v) for v in m))
+            super().__init__(space, m)
+
+    monkeypatch.setattr(catlab.metaplectic, "LatticeTranslation", Counted)
+    for window, products in [(1, 5), (2, 13)]:
+        made.clear()
+        egorov_defect(P, window)
+        shifts = made[0::2]
+        assert len(shifts) == products
+        assert (0, 0) in shifts
+        assert not any((-j1, -j2) in shifts for j1, j2 in shifts
+                       if (j1, j2) != (0, 0))
 
 
 def test_dense_build_memory_is_one_matrix():

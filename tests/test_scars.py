@@ -15,8 +15,9 @@ from catlab import (S1, ScarEnsemble, SymplecticMatrix, admissible_N,
                     torus_autocorrelation)
 from catlab.hilbert import LatticeTranslation, StateSpace
 from catlab.metaplectic import Propagator, period_phase
-from catlab.scars import (TORUS_SUM_TOL, _reduce, leading_eigenvalue,
-                          measure_target)
+from catlab.scars import (TORUS_SUM_TOL, _half_period_map, _reduce,
+                          leading_eigenvalue, measure_target)
+from catlab.symplectic import quantum_period
 from conftest import B_CAT
 
 LAM = leading_eigenvalue(B_CAT)  # (3 + sqrt 5) / 2
@@ -536,10 +537,51 @@ def test_scar_phase_matches_period_phase(fixture, request):
     assert abs(scar.phi - pp.phi) <= 1e-9
 
 
+@pytest.mark.parametrize("B,N,beta_gamma", [
+    ([[29, 12], [12, 5]], 34, (0, 0)), ([[2, 1], [1, 1]], 144, (1, 1)),
+    ([[1, 1], [1, 2]], 144, (1, 1)), ([[5, 2], [2, 1]], 204, (0, 0))])
+def test_half_period_map_is_m_to_the_half_period(B, N, beta_gamma):
+    # the analytic signed permutation T against the dense M^{P/2}, up to
+    # its unit phase theta
+    B = SymplecticMatrix(B)
+    P = quantum_period(B, N)
+    (_, b), (c, _) = B.power(P // 2).entries  # [[a, beta N], [gamma N, d]]
+    assert (b // N % 2, c // N % 2) == beta_gamma
+    src, weight = _half_period_map(B, N, P)
+    T = np.zeros((N, N), dtype=np.complex128)
+    T[np.arange(N), src] = weight
+    half = np.linalg.matrix_power(metaplectic_sl2(StateSpace(1, N), B).dense,
+                                  P // 2)
+    theta = np.vdot(T, half)
+    theta /= abs(theta)
+    assert np.abs(np.conj(theta) * half - T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["scar6", "scar12"])
+def test_half_orbit_matches_full_orbit(fixture, request):
+    # The orbit built from M^{P/2} = theta T against P full applies,
+    # phased the same way; and D_0, filled from its first P/2 rows,
+    # against the direct Gram of V.
+    scar = request.getfixturevalue(fixture)
+    P, N = scar.P, scar.N
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    ref = np.empty((P, N), dtype=np.complex128)
+    g = G
+    for s in range(P):
+        ref[(s + P // 2) % P] = g
+        g = scar.M.apply_array(g)
+    phi = np.angle(np.vdot(G, g))
+    ref *= np.exp(-1j * phi * scar.wperm / P)[:, None]
+    assert np.abs(scar.V - ref).max() <= 1e-10
+    D0 = ScarEnsemble(scar.B, N, P)._dmats_of([(0, 0)])[0]
+    assert np.abs(D0 - scar.V @ scar.V.conj().T).max() <= 1e-14
+
+
 @pytest.mark.parametrize("k", [6, 12])
 def test_scar_applies_m_once_per_period_step(k, monkeypatch):
-    # Building a scar applies M exactly P times, each to one state: the
-    # orbit M^s G_N for s < P and its closing step.
+    # Building a scar applies M exactly P/2 + 1 times, each to one state:
+    # the orbit M^s G_N for s < P/2, the half step M^{P/2} G_N that fits
+    # theta, and the closing step; T fills the second half.
     shapes = []
     apply_array = Propagator.apply_array
 
@@ -549,7 +591,7 @@ def test_scar_applies_m_once_per_period_step(k, monkeypatch):
 
     monkeypatch.setattr(Propagator, "apply_array", counted)
     scar = build_scar(B_CAT, k)
-    assert shapes == [(scar.N,)] * scar.P
+    assert shapes == [(scar.N,)] * (scar.P // 2 + 1)
 
 
 @pytest.mark.parametrize("center", [False, True])
