@@ -8,7 +8,6 @@ norm-decay experiments fit log-log slopes across grid sizes.
 """
 
 from dataclasses import dataclass
-import itertools
 import math
 
 import numpy as np
@@ -62,11 +61,6 @@ class DiscreteSet:
         if self.dims != 1:
             raise ValueError("indices() is for d = 1 sets")
         return np.array(sorted(c[0] for c in self.cells), dtype=int)
-
-
-def full_set(M, dims=1):
-    return DiscreteSet(M, dims,
-                       frozenset(itertools.product(range(M), repeat=dims)))
 
 
 def cantor_set(depth):
@@ -200,11 +194,6 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
             return False, {"R": R, "segment_center": c,
                            "direction": tuple(_DIRECTIONS[hit[0][d]])}
     return True, None
-
-
-def dft_matrix(M):
-    j = np.arange(M)
-    return np.exp(-2j * np.pi * np.outer(j, j) / M) / math.sqrt(M)
 
 
 def fup_norm(X_minus, X_plus):

@@ -50,12 +50,6 @@ class QuantumState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def basis_state(space, index):
-    c = np.zeros(space.dim, dtype=np.complex128)
-    c[int(np.ravel_multi_index(tuple(index), (space.N,) * space.n))] = 1.0
-    return QuantumState(space, c)
-
-
 def _dense_matrix(apply_array, dim, what):
     """
     The dim x dim matrix of a linear map given by its batched apply,

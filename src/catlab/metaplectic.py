@@ -56,13 +56,21 @@ class Propagator:
             lambda c: self.apply_array(other.apply_array(c)))
 
 
+def _chirp(c, n, L):
+    """
+    e^{i pi c k^2 / L} for k < n, with c k^2 reduced mod 2L in integers:
+    a float argument up to pi c L (3e5 at c = 2, L = 46368) would lose
+    ~1e-16 of it per entry, and an orbit of applies would drift in phase.
+    """
+    k = np.arange(n)
+    return np.exp(1j * np.pi * (k * k % (2 * L) * (c % (2 * L)) % (2 * L))
+                  / L)
+
+
 def _sl2_apply(N, a, b, d):
     L = N * b
-    K = np.arange(L)
-    chirp_in = np.exp(1j * np.pi * a / L * K * K)
-    j = np.arange(N)
-    chirp_out = (np.exp(-1j * np.pi / 4) / math.sqrt(L)
-                 * np.exp(1j * np.pi * d / L * j * j))
+    chirp_in = _chirp(a, L, L)
+    chirp_out = np.exp(-1j * np.pi / 4) / math.sqrt(L) * _chirp(d, N, L)
 
     def apply_array(c):
         x = np.tile(c, b) * chirp_in

@@ -8,16 +8,17 @@ admissible index k, build_scar(B, k) builds the tensor eigenfunction
     v_t = e^{-i phi t / P} M^t G_N,   w_t = v_{t + P/2},
 
 in factored form (P states of length N, never an N^2 vector unless
-explicitly materialized).  M is applied only for the first half of the
-orbit: M^{P/2} = theta T for a signed permutation T known in closed
-form (_half_period_map), so each later state is one gather and multiply
-of the state half a period before.  The period phase phi is read from
-the orbit's closing step M^P G_N = e^{i phi} G_N; together with Gaussian
-overlap closed forms, lattice overlap sums, the exact torus
+explicitly materialized).  theta (M^{P/2} = theta T, T a signed
+permutation known in closed form), the period phase phi and the Gram
+D_0, which gives the norm, come from P/2 + 1 exact torus
+autocorrelations with no apply of M (_lattice_gram).  The orbit is built
+on first use; its second half is theta T applied to its first.  Together
+with Gaussian overlap closed forms, lattice overlap sums, the exact torus
 autocorrelation, matrix elements, and semiclassical-measure scans.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -334,6 +335,8 @@ MATERIALIZE_LIMIT = 16_000_000
 
 # Columns of V per chunk in _translation_grams.
 _DMAT_COLS = 1024
+# Bytes of complex amplitudes per block of rows in density_rows.
+_DENSITY_BLOCK_BYTES = 4 * 2 ** 20
 
 
 def _columns(V, start, count):
@@ -355,42 +358,31 @@ def _translation_grams(V, ms):
               V[:, c - p] @ (conj(V[:, c]) e^{2 pi i q c / N})^T,
 
     one pass over chunks of _DMAT_COLS columns that phases conj(V) once
-    per distinct q, gathers the shifted columns once per distinct p and
-    runs one P x P GEMM per m.  Phases are reduced mod 2N in integers
-    before the exp.  The work arrays hold (#q + 1) chunks, never a P x N
-    copy.  The Gram D_0 takes half the flops: row i < P/2 of V is a unit
-    multiple of T applied to row i + P/2, and the signed permutation T
-    keeps inner products, so D_0's two diagonal blocks are equal and only
-    its first P/2 rows are summed; its lower off-diagonal block is the
-    conjugate transpose of the upper one.
+    per distinct q != 0 (q = 0 uses conj(V) itself), gathers the shifted
+    columns once per distinct p and runs one P x P GEMM per m.  Phases
+    are reduced mod 2N in integers before the exp.  The work arrays hold
+    (#q + 1) chunks, never a P x N copy.
     """
     P, N = V.shape
-    h = P // 2
-    acc = {m: np.zeros((h if m == (0, 0) else P, P), dtype=np.complex128)
-           for m in ms}
+    acc = {m: np.zeros((P, P), dtype=np.complex128) for m in ms}
     ps = sorted({p for p, _ in ms})
     qs = sorted({q for _, q in ms})
     conj = np.empty((P, _DMAT_COLS), dtype=np.complex128)
-    phased = np.empty((len(qs), P, _DMAT_COLS), dtype=np.complex128)
+    bufs = {q: np.empty((P, _DMAT_COLS), dtype=np.complex128)
+            for q in qs if q}
     for lo in range(0, N, _DMAT_COLS):
         cols = min(_DMAT_COLS, N - lo)
         i = np.arange(lo, lo + cols)
-        cv = np.conj(V[:, lo:lo + cols], out=conj[:, :cols])
-        for row, q in zip(phased, qs):
-            np.multiply(cv, np.exp(1j * np.pi * (2 * q * i % (2 * N)) / N),
-                        out=row[:, :cols])
+        phased = {0: np.conj(V[:, lo:lo + cols], out=conj[:, :cols])}
+        for q, buf in bufs.items():
+            phased[q] = np.multiply(
+                phased[0], np.exp(1j * np.pi * (2 * q * i % (2 * N)) / N),
+                out=buf[:, :cols])
         for p in ps:
             shifted = _columns(V, lo - p, cols)
-            for row, q in zip(phased, qs):
+            for q in qs:
                 if (p, q) in acc:
-                    D = acc[p, q]
-                    D += shifted[:len(D)] @ row[:, :cols].T
-    if (0, 0) in acc:
-        top = acc[0, 0]
-        D = acc[0, 0] = np.empty((P, P), dtype=np.complex128)
-        D[:h] = top
-        D[h:, :h] = top[:, h:].conj().T
-        D[h:, h:] = top[:, :h]
+                    acc[p, q] += shifted @ phased[q].T
     return [np.exp(-1j * np.pi * (p * q % (2 * N)) / N) * acc[p, q]
             for p, q in ms]
 
@@ -422,65 +414,102 @@ def _half_period_map(B, N, P):
     return src, weight
 
 
+def _lattice_gram(B, N, P):
+    """
+    (theta, phi, D_0) for the scar of B at N and P from the exact
+    A(q) = torus_autocorrelation(B, q, N).value = vdot(G_N, M^q G_N),
+    q = 0..P/2, and the half-period map T, M^{P/2} = theta T:
+    theta = A(P/2) / vdot(G_N, T G_N) and, as M^P = theta^2 T^2,
+    e^{i phi} = theta^2 vdot(G_N, T^2 G_N) / A(0).  For the rows of
+    ScarEnsemble.V, D_0[i, i'] = vdot(V[i'], V[i]) is f((i - i') mod P),
+    f(q) = e^{-i phi q / P} vdot(G_N, M^q G_N): M^P G_N = e^{i phi} G_N
+    makes f P-periodic, and f(-q) = conj f(q), so f(q) = conj f(P - q)
+    for q > P/2.  Raises AssertionError, naming M^P G_N, unless |theta|
+    and |vdot(G_N, T^2 G_N)| / A(0) are 1 within PERIOD_PHASE_TOL; by
+    Cauchy-Schwarz the second holds iff M^P G_N is a unit multiple of G_N.
+    """
+    src, weight = _half_period_map(B, N, P)
+    G = hilbert.project_gaussian(StateSpace(1, N)).coeffs
+    TG = weight * G[src]
+    A = np.array([torus_autocorrelation(B, q, N).value
+                  for q in range(P // 2 + 1)])
+    theta = A[-1] / np.vdot(G, TG)
+    ratio = np.vdot(G, weight * TG[src]) / A[0]
+    if max(abs(abs(theta) - 1), abs(abs(ratio) - 1)) > PERIOD_PHASE_TOL:
+        raise AssertionError("M^P G_N: |theta| = %.9f and |vdot(G_N, T^2 "
+                             "G_N)| / A(0) = %.9f are not both 1"
+                             % (abs(theta), abs(ratio)))
+    theta /= abs(theta)
+    phi = float(np.angle(theta * theta * ratio))
+    f = np.empty(P, dtype=np.complex128)
+    f[:len(A)] = A * np.exp(-1j * phi * np.arange(len(A)) / P)
+    f[len(A):] = f[P - len(A):0:-1].conj()
+    i = np.arange(P)
+    return theta, phi, f[(i[:, None] - i) % P]
+
+
 class ScarEnsemble:
     """
     Factored u = P^{-1/2} sum_t v_t (x) w_t for B, even N and the period
-    P = ord(B mod N): B, N, P, lambda, M, the period phase phi and the
-    orbit V.  build_scar validates the arguments first.
+    P = ord(B mod N): B, N, P, lambda, theta and phi (from _lattice_gram,
+    with the Gram D_0 that the norm reads), and, built on first use, the
+    propagator M and the orbit V.  build_scar validates the arguments
+    first.
     """
 
     def __init__(self, B, N, P):
         self.B, self.N, self.P = B, N, P
         self.lam = leading_eigenvalue(B)
-        space = StateSpace(1, N)
-        self.M = metaplectic_sl2(space, B)
-        # Row (s + P/2) mod P of V holds the orbit g_s = M^s G_N, so row i
-        # is time t = i - P/2 with s = t mod P; M^P G_N = e^{i phi} G_N
-        # makes e^{-i phi s / P} g_s = v_t for t < 0 too.  Only V is held,
-        # one P x N array, phased in place.
-        h = P // 2
+        self.theta, self.phi, D0 = _lattice_gram(B, N, P)
+        # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
+        # s of the orbit state in row i of V
+        self.wperm = (np.arange(P) + P // 2) % P
+        self._dmats = {(0, 0): D0}
+        self._wdmats = {}
+
+    @functools.cached_property
+    def M(self):
+        return metaplectic_sl2(StateSpace(1, self.N), self.B)
+
+    @functools.cached_property
+    def V(self):
+        """
+        The P x N orbit: row i = (s + P/2) mod P holds e^{-i phi s / P} g_s,
+        g_s = M^s G_N, which is v_t, t = i - P/2, as M^P G_N = e^{i phi} G_N.
+        M is applied P/2 + 1 times; the half step is held to theta T G_N and
+        the closing step to e^{i phi} G_N within PERIOD_PHASE_TOL
+        (AssertionError naming M^P G_N).  g_s = theta T g_{s - P/2} for
+        s > P/2 is one gather and multiply.
+        """
+        N, P, h = self.N, self.P, self.P // 2
         V = np.empty((P, N), dtype=np.complex128)
-        G = hilbert.project_gaussian(space).coeffs
+        G = hilbert.project_gaussian(self.M.space).coeffs
         V[h] = G
         for s in range(1, h):
             V[h + s] = self.M.apply_array(V[h + s - 1])
-        # M^{P/2} = theta T with T the signed permutation src, weight: fit
-        # theta on T G_N, held in row 0 (s = P/2), then check M^{P/2} G_N.
         # np.take in "clip" mode writes straight into the row; the default
         # mode would buffer a copy.
         half = self.M.apply_array(V[2 * h - 1])  # M g_{P/2 - 1}
-        src, weight = _half_period_map(B, N, P)
+        src, weight = _half_period_map(self.B, N, P)
+        weight *= self.theta
         np.take(G, src, out=V[0], mode="clip")
         V[0] *= weight
-        theta = np.vdot(V[0], half)
-        theta /= abs(theta)
-        V[0] *= theta
         half -= V[0]
         defect = float(np.abs(half).max())
         if defect > PERIOD_PHASE_TOL:
             raise AssertionError("M^P G_N: the half step M^{P/2} G_N is not "
                                  "theta T G_N (defect %.3e)" % defect)
-        # g_s = theta T g_{s - P/2} for s > P/2: row i from row i + P/2
-        weight *= theta
         for i in range(1, h):
             np.take(V[h + i], src, out=V[i], mode="clip")
             V[i] *= weight
         del half, src, weight
-        # M^P G_N = M g_{P-1} closes the orbit: phi and the period-phase
-        # check on G_N.
         g = self.M.apply_array(V[h - 1])
-        self.phi = float(np.angle(np.vdot(G, g)))
         defect = float(np.abs(g - np.exp(1j * self.phi) * G).max())
         if defect > PERIOD_PHASE_TOL:
             raise AssertionError("M^P G_N is not e^{i phi} G_N (defect %.3e)"
                                  % defect)
-        # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
-        # s of the orbit state in row i
-        self.wperm = (np.arange(P) + h) % P
         V *= np.exp(-1j * self.phi * self.wperm / P)[:, None]
-        self.V = V
-        self._dmats = {}
-        self._wdmats = {}
+        return V
 
     def materialize(self):
         """Dense N^2 tensor state V^T V[wperm] / sqrt(P); only for small N."""
@@ -492,13 +521,18 @@ class ScarEnsemble:
     def density_rows(self, center):
         """
         The rows j1 = 0..N-1 of position_density(materialize(), center),
-        |V[:, j1]^T V[wperm]|^2 / P, one at a time: no N^2 array is held.
+        |V[:, j1]^T V[wperm]|^2 / P, computed by one GEMM per block of
+        rows whose amplitudes fill _DENSITY_BLOCK_BYTES: no N^2 array is
+        held.
         """
+        N = self.N
         W = self.V[self.wperm]
-        shift = self.N // 2 if center else 0
-        for j1 in range(self.N):
-            amp = self.V[:, (j1 - shift) % self.N] @ W / math.sqrt(self.P)
-            yield np.roll(np.abs(amp) ** 2, shift)
+        shift = N // 2 if center else 0
+        cols = np.roll(np.arange(N), shift)  # (j1 - shift) mod N
+        rows = max(1, _DENSITY_BLOCK_BYTES // (16 * N))
+        for lo in range(0, N, rows):
+            amp = self.V[:, cols[lo:lo + rows]].T @ W / math.sqrt(self.P)
+            yield from np.roll(np.abs(amp) ** 2, shift, axis=1)
 
     def _dmats_of(self, js):
         """

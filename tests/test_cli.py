@@ -139,6 +139,33 @@ def test_scar_build(tmp_path):
     assert float(out["norm2_error"]) < 0.01
 
 
+def test_scar_build_above_materialize_limit_builds_no_orbit(tmp_path,
+                                                           monkeypatch):
+    # At k = 12, N^2 is above MATERIALIZE_LIMIT: norm2 and phi come from
+    # the lattice, M is applied zero times, and no P x N orbit (24 x 46368
+    # complex, 17.8 MB) is allocated.
+    applies = []
+    apply_array = catlab.metaplectic.Propagator.apply_array
+
+    def counted(self, c):
+        applies.append(np.shape(c))
+        return apply_array(self, c)
+
+    monkeypatch.setattr(catlab.metaplectic.Propagator, "apply_array", counted)
+    tracemalloc.start()
+    try:
+        rc = main(["scar-build", "--matrix", CAT, "--k", "12",
+                   "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and applies == []
+    out = read_json(tmp_path / "scar-build-0.json")
+    assert (out["N"], out["P"]) == (46368, 24)
+    assert "eigenresidual" not in out
+    assert peak < out["P"] * out["N"] * 16 / 4
+
+
 def test_scar_scan(tmp_path):
     assert main(["scar-scan", "--matrix", CAT, "--k", "6", "--window", "1",
                  "--out", str(tmp_path)]) == 0

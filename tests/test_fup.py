@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,8 +11,17 @@ import pytest
 import catlab
 from catlab import (DiscreteSet, cantor_set, fup_norm, neighborhood,
                     porosity_check, scaling_experiment)
-from catlab.fup import (basic_uncertainty_norm, dft_matrix, full_set,
-                        product_set, smooth_bump)
+from catlab.fup import basic_uncertainty_norm, product_set, smooth_bump
+
+
+def full_set(M, dims=1):
+    return DiscreteSet(M, dims,
+                       frozenset(itertools.product(range(M), repeat=dims)))
+
+
+def dft_matrix(M):
+    j = np.arange(M)
+    return np.exp(-2j * np.pi * np.outer(j, j) / M) / math.sqrt(M)
 
 
 def test_cantor_set_structure():

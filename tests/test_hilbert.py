@@ -7,10 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from catlab import (TrigObservable, position_density, project_gaussian,
                     tensor, weyl_quantize)
-from catlab.hilbert import LatticeTranslation, StateSpace, basis_state
+from catlab.hilbert import LatticeTranslation, QuantumState, StateSpace
 from catlab.symplectic import _sigma
 
 SP = StateSpace(1, 34)
+
+
+def basis_state(space, index):
+    c = np.zeros(space.dim, dtype=np.complex128)
+    c[int(np.ravel_multi_index(tuple(index), (space.N,) * space.n))] = 1.0
+    return QuantumState(space, c)
 
 
 def test_translation_zero_is_identity():

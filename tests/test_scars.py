@@ -481,6 +481,7 @@ def test_window_kernel_memory(scar12):
     # The k = 12 window-2 set is filled from column chunks: its work
     # arrays stay far below one P x N array.
     scar = build_scar(B_CAT, 12)
+    scar.V  # the orbit is built on first use, before the trace
     tracemalloc.start()
     try:
         scar._dmats_of(WINDOW2)
@@ -501,7 +502,7 @@ def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
     monkeypatch.setattr(catlab.scars, "_translation_grams", counted)
     scar = build_scar(B_CAT, 6)
     rows = semiclassical_scan(scar, 2)
-    assert passes == [13]  # 25 vectors, 12 +- pairs and j = 0
+    assert passes == [12]  # 24 vectors in 12 +- pairs; D_0 is the lattice's
     # each D_j is the same whatever else its pass filled
     assert rows == semiclassical_scan(scar6, 2)
 
@@ -521,9 +522,8 @@ def test_matrix_element_permutes_each_d_once(scar6):
 
 
 def test_build_scar_checks_the_period_phase(scar6):
-    # The orbit's closing apply checks M^P G_N = e^{i phi} G_N, so an orbit
-    # one step short fails.  (Half a period would pass: M^{P/2} G_N is a
-    # multiple of G_N for the cat map.)
+    # An orbit one step short has an odd period, for which no half-period
+    # map T, and so no lattice theta, phi or D_0, exists.
     with pytest.raises(AssertionError, match="M\\^P G_N"):
         ScarEnsemble(scar6.B, scar6.N, scar6.P - 1)
 
@@ -560,8 +560,7 @@ def test_half_period_map_is_m_to_the_half_period(B, N, beta_gamma):
 @pytest.mark.parametrize("fixture", ["scar6", "scar12"])
 def test_half_orbit_matches_full_orbit(fixture, request):
     # The orbit built from M^{P/2} = theta T against P full applies,
-    # phased the same way; and D_0, filled from its first P/2 rows,
-    # against the direct Gram of V.
+    # phased the same way.
     scar = request.getfixturevalue(fixture)
     P, N = scar.P, scar.N
     G = project_gaussian(StateSpace(1, N)).coeffs
@@ -573,15 +572,91 @@ def test_half_orbit_matches_full_orbit(fixture, request):
     phi = np.angle(np.vdot(G, g))
     ref *= np.exp(-1j * phi * scar.wperm / P)[:, None]
     assert np.abs(scar.V - ref).max() <= 1e-10
-    D0 = ScarEnsemble(scar.B, N, P)._dmats_of([(0, 0)])[0]
-    assert np.abs(D0 - scar.V @ scar.V.conj().T).max() <= 1e-14
+
+
+# The lattice gate: the matrices and admissible k of the README, the
+# benchmark and the overlap tests, N from 6 to 46368.
+GATE = [(B_CAT, 6), (B_CAT, 12), ([[5, 2], [2, 1]], 2), ([[5, 2], [2, 1]], 4),
+        ([[5, 2], [2, 1]], 6), ([[2, 3], [3, 5]], 6),
+        ([[29, 12], [12, 5]], 2), ([[1, 1], [1, 2]], 6)]
+
+
+def _check_lattice_gram(scar):
+    """theta, phi, D_0 and the norm of the lattice against the orbit."""
+    P, N = scar.P, scar.N
+    D0 = scar._dmats_of([(0, 0)])[0]
+    assert "V" not in vars(scar)  # D_0 came from the lattice
+    gram = scar.V @ scar.V.conj().T
+    assert np.abs(D0 - gram).max() <= 1e-11
+    w = scar.wperm
+    norm2 = (gram * gram[w][:, w]).sum().real / P
+    assert abs(scar.norm_squared() - norm2) <= 1e-11 * norm2
+    phi = period_phase(scar.M, P).phi
+    assert abs(np.angle(np.exp(1j * (scar.phi - phi)))) <= 1e-9
+    # theta against the phase of vdot(T G_N, M^{P/2} G_N)
+    src, weight = _half_period_map(scar.B, N, P)
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    g = G
+    for _ in range(P // 2):
+        g = scar.M.apply_array(g)
+    fit = np.vdot(weight * G[src], g)
+    assert abs(scar.theta - fit / abs(fit)) <= 1e-9
+
+
+@pytest.mark.parametrize("B,k", GATE)
+def test_lattice_gram_matches_orbit(B, k):
+    _check_lattice_gram(build_scar(B, k))
+
+
+@pytest.mark.parametrize("B,N", [([[2, 1], [1, 1]], 8),
+                                 ([[5, 2], [2, 1]], 12),
+                                 ([[29, 12], [12, 5]], 18)])
+def test_lattice_gram_with_theta_minus_one(B, N):
+    # At these even N, not N_k, M^{P/2} = -T: the sign of theta reaches
+    # both the orbit's half-step check and the second half of V.
+    B = SymplecticMatrix(B)
+    scar = ScarEnsemble(B, N, quantum_period(B, N))
+    assert abs(scar.theta + 1) <= 1e-12
+    _check_lattice_gram(scar)
+
+
+def test_lattice_gram_checks_theta(monkeypatch):
+    # A half-period map off by one index gives |theta| far from 1: the
+    # lattice check raises before any orbit is built.
+    half_period_map = catlab.scars._half_period_map
+
+    def shifted(B, N, P):
+        src, weight = half_period_map(B, N, P)
+        return (src + 1) % N, weight
+
+    monkeypatch.setattr(catlab.scars, "_half_period_map", shifted)
+    with pytest.raises(AssertionError, match="M\\^P G_N: \\|theta\\|"):
+        build_scar(B_CAT, 6)
+
+
+@pytest.mark.parametrize("B", [B_CAT, [[1, 1], [1, 2]]])
+def test_lattice_gram_folds_past_half_period(B):
+    # D_0[q, 0] = e^{-i phi q / P} vdot(G_N, M^q G_N), which for q > P/2
+    # is folded from A(P - q) by M^P G_N = e^{i phi} G_N.
+    scar = build_scar(B, 6)
+    P, N = scar.P, scar.N
+    D0 = scar._dmats_of([(0, 0)])[0]
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    g = G
+    for q in range(1, P):
+        g = scar.M.apply_array(g)
+        if q > P // 2:
+            want = np.vdot(G, g) * np.exp(-1j * scar.phi * q / P)
+            assert abs(D0[q, 0] - want) <= 1e-12, q
 
 
 @pytest.mark.parametrize("k", [6, 12])
 def test_scar_applies_m_once_per_period_step(k, monkeypatch):
-    # Building a scar applies M exactly P/2 + 1 times, each to one state:
-    # the orbit M^s G_N for s < P/2, the half step M^{P/2} G_N that fits
-    # theta, and the closing step; T fills the second half.
+    # Building a scar and its norm apply M zero times: theta, phi and D_0
+    # come from the lattice.  The first access to V applies M exactly
+    # P/2 + 1 times, each to one state: the orbit M^s G_N for s < P/2, the
+    # half step M^{P/2} G_N checked against theta T G_N, and the closing
+    # step; T fills the second half.  Later uses reuse V.
     shapes = []
     apply_array = Propagator.apply_array
 
@@ -591,7 +666,12 @@ def test_scar_applies_m_once_per_period_step(k, monkeypatch):
 
     monkeypatch.setattr(Propagator, "apply_array", counted)
     scar = build_scar(B_CAT, k)
+    scar.norm_squared()
+    assert shapes == []
+    scar.V
     assert shapes == [(scar.N,)] * (scar.P // 2 + 1)
+    scar.matrix_element((1, 0), (0, 1))
+    assert len(shapes) == scar.P // 2 + 1
 
 
 @pytest.mark.parametrize("center", [False, True])
