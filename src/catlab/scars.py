@@ -333,10 +333,10 @@ SCAR_MAX_BYTES = 2 * 2 ** 30
 MATERIALIZE_LIMIT = 16_000_000
 
 
-# Columns of V per chunk in _translation_grams.
-_DMAT_COLS = 1024
 # Bytes of complex amplitudes per block of rows in density_rows.
 _DENSITY_BLOCK_BYTES = 4 * 2 ** 20
+# Bytes of complex phases per block of residues in _translation_grams.
+_GRAM_BLOCK_BYTES = 2 ** 18
 
 
 def _columns(V, start, count):
@@ -348,43 +348,62 @@ def _columns(V, start, count):
     return np.concatenate((V[:, start:], V[:, :start + count - N]), axis=1)
 
 
-def _translation_grams(V, ms):
+def _gaussian_window(G):
     """
-    [D_m for m in ms], D_m[t, s] = <U_{m/N} v_t, v_s> for the rows v_t of
-    a ScarEnsemble orbit V (P x N) and residues m = (p, q) in (-N, N]^2.
-    Since (U_m v)[i] = e^{i pi (2 q i - p q) / N} v[i - p],
+    (w, G[w]) for real G of even length N: w = -R..R for the least R whose
+    omitted l2 mass ||G - G_R||, summed from the array, is at most
+    TORUS_SUM_TOL ||G||, or w = 0..N-1 when 2R + 1 > N.
+    """
+    N = len(G)
+    dist = np.minimum(np.arange(N), N - np.arange(N))
+    outside = np.cumsum(np.bincount(dist, G * G)[::-1])[::-1]
+    omitted = np.append(outside[1:], 0.0)  # l2 mass beyond each radius
+    R = int(np.argmax(omitted <= TORUS_SUM_TOL ** 2 * outside[0]))
+    w = np.arange(-R, R + 1) if 2 * R + 1 <= N else np.arange(N)
+    return w, G[w]
 
-        D_m = e^{-i pi p q / N} sum over column chunks c of
-              V[:, c - p] @ (conj(V[:, c]) e^{2 pi i q c / N})^T,
 
-    one pass over chunks of _DMAT_COLS columns that phases conj(V) once
-    per distinct q != 0 (q = 0 uses conj(V) itself), gathers the shifted
-    columns once per distinct p and runs one P x P GEMM per m.  Phases
-    are reduced mod 2N in integers before the exp.  The work arrays hold
-    (#q + 1) chunks, never a P x N copy.
+def _translation_grams(V, B, ms):
+    """
+    [D_m for m in ms], D_m[t, t'] = <U_{m/N} v_t, v_t'> for the rows v_t of
+    a ScarEnsemble orbit V (P x N) and residues m in (-N, N]^2.  Row t of V
+    is e^{-i phi s / P} M^s G_N, s = (t + P/2) mod P, and exact Egorov
+    U_m M = M U_{B^-1 m} (m mod 2N) moves U_m past M^s, so the row phases
+    cancel and
+
+        D_m[t, t'] = rho[B^-s m][(t' - t + P/2) mod P],
+        rho[m'][i] = vdot(V[i], U_{m'} G_N),  m' = (p', q') mod 2N.
+
+    The real G_N = V[P/2] is read on its _gaussian_window: U_{m'} is
+    unitary and ||V[i]|| = ||G_N||, so by Cauchy-Schwarz each entry errs
+    by |vdot(V[i], U_{m'} (G_N - G_R))| <= TORUS_SUM_TOL ||G_N||^2.  With
+    (U_{m'} G_N)[p' + w] = e^{i pi (p' q' + 2 q' w) / N} G_N[w], phases
+    reduced mod 2N in integers, each distinct residue B^-s m costs one
+    P x len(w) product with the columns p' + w of V.
     """
     P, N = V.shape
-    acc = {m: np.zeros((P, P), dtype=np.complex128) for m in ms}
-    ps = sorted({p for p, _ in ms})
-    qs = sorted({q for _, q in ms})
-    conj = np.empty((P, _DMAT_COLS), dtype=np.complex128)
-    bufs = {q: np.empty((P, _DMAT_COLS), dtype=np.complex128)
-            for q in qs if q}
-    for lo in range(0, N, _DMAT_COLS):
-        cols = min(_DMAT_COLS, N - lo)
-        i = np.arange(lo, lo + cols)
-        phased = {0: np.conj(V[:, lo:lo + cols], out=conj[:, :cols])}
-        for q, buf in bufs.items():
-            phased[q] = np.multiply(
-                phased[0], np.exp(1j * np.pi * (2 * q * i % (2 * N)) / N),
-                out=buf[:, :cols])
-        for p in ps:
-            shifted = _columns(V, lo - p, cols)
-            for q in qs:
-                if (p, q) in acc:
-                    acc[p, q] += shifted @ phased[q].T
-    return [np.exp(-1j * np.pi * (p * q % (2 * N)) / N) * acc[p, q]
-            for p, q in ms]
+    w, G = _gaussian_window(V[P // 2].real)
+    Binv = np.array(B.inverse().entries, dtype=np.int64) % (2 * N)
+    m = np.array(ms, dtype=np.int64) % (2 * N)
+    res = np.empty((P, len(ms)), dtype=np.int64)
+    for s in range(P):
+        res[s] = m[:, 0] * (2 * N) + m[:, 1]
+        m = m @ Binv.T % (2 * N)
+    keys, inv = np.unique(res, return_inverse=True)
+    p, q = divmod(keys, 2 * N)
+    # e^{-2 pi i r / N} = hi[r // S] lo[r % S] for 0 <= r < N <= S^2
+    S = math.isqrt(N - 1) + 1
+    lo, hi = np.exp(-2j * np.pi * np.arange(S) * [[1], [S]] / N)
+    rho = np.empty((len(keys), P), dtype=np.complex128)
+    block = max(1, _GRAM_BLOCK_BYTES // (16 * len(w)))
+    for b in range(0, len(keys), block):
+        r_hi, r_lo = np.divmod(q[b:b + block, None] * w % N, S)
+        for k, y in enumerate(G * hi[r_hi] * lo[r_lo], b):
+            np.dot(_columns(V, p[k] + w[0], len(w)), y, out=rho[k])
+    rho *= np.exp(-1j * np.pi * (p * q % (2 * N)) / N)[:, None]
+    t = np.arange(P)
+    rows = inv.reshape(res.shape)[(t + P // 2) % P].T[:, :, None]
+    return list(rho.conj()[rows, (t - t[:, None] + P // 2) % P])
 
 
 def _half_period_map(B, N, P):
@@ -454,7 +473,9 @@ class ScarEnsemble:
     P = ord(B mod N): B, N, P, lambda, theta and phi (from _lattice_gram,
     with the Gram D_0 that the norm reads), and, built on first use, the
     propagator M and the orbit V.  build_scar validates the arguments
-    first.
+    first.  An even N other than N_k can be refused: a lattice sum up to
+    q = P/2 can exceed TORUS_SUM_LIMIT (ValueError; B = [[2, 1], [1, 1]]
+    at N = 10).
     """
 
     def __init__(self, B, N, P):
@@ -549,7 +570,7 @@ class ScarEnsemble:
                 neg = _lattice_residue((-m[0], -m[1]), N)
                 todo[max(m, neg)] = min(m, neg)
         if todo:
-            for m, D in zip(todo, _translation_grams(self.V, list(todo))):
+            for m, D in zip(todo, _translation_grams(self.V, self.B, [*todo])):
                 self._dmats[todo[m]] = D.conj().T
                 self._dmats[m] = D
         return [self._dmats[m] for m in keys]
@@ -620,17 +641,20 @@ def measure_target(j, k):
 def semiclassical_scan(scar, window):
     """
     Rows (j1, j2, k1, k2, ratio, target, error) over all lattice pairs
-    with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2.
-    Raises ValueError for window < 0.
+    with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2,
+    all (2 window + 1)^4 of them from one product of the stacked D_j with
+    the stacked D_k in wperm order.  Raises ValueError for window < 0.
     """
     if window < 0:
         raise ValueError("semiclassical_scan needs window >= 0")
     lattice = list(itertools.product(range(-window, window + 1), repeat=2))
-    scar._dmats_of(lattice)  # the whole window in one pass over V
-    norm2 = scar.norm_squared()
+    Dj = np.array(scar._dmats_of(lattice))  # the whole window in one pass
+    Dk = np.array([scar._wdmat(k) for k in lattice])
+    ratios = (np.tensordot(Dj, Dk, axes=([1, 2], [1, 2]))
+              / (scar.P * scar.norm_squared()))
     rows = []
-    for (j1, j2), (k1, k2) in itertools.product(lattice, repeat=2):
-        ratio = scar.matrix_element((j1, j2), (k1, k2)) / norm2
-        target = measure_target((j1, j2), (k1, k2))
-        rows.append((j1, j2, k1, k2, ratio, target, abs(ratio - target)))
+    for (j, k), ratio in zip(itertools.product(lattice, repeat=2),
+                             ratios.ravel().tolist()):
+        target = measure_target(j, k)
+        rows.append((*j, *k, ratio, target, abs(ratio - target)))
     return rows

@@ -118,8 +118,10 @@ def test_08_semiclassical_scan(scar6, scar12):
     worst6 = max(r[6] for r in semiclassical_scan(scar6, 2))
     worst12 = max(r[6] for r in semiclassical_scan(scar12, 2))
     ok = worst6 < 0.15 and worst12 < worst6
+    # companion, with no bound: P * worst reads about 2.2 at both k
     report(8, "semiclassical-scan", ok,
-           "worst_k6=%.4f worst_k12=%.4f" % (worst6, worst12))
+           "worst_k6=%.4f worst_k12=%.4f P*worst_k6=%.4f P*worst_k12=%.4f"
+           % (worst6, worst12, scar6.P * worst6, scar12.P * worst12))
 
 
 def test_09_axis_band_concentration(scar6):

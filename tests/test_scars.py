@@ -15,8 +15,8 @@ from catlab import (S1, ScarEnsemble, SymplecticMatrix, admissible_N,
                     torus_autocorrelation)
 from catlab.hilbert import LatticeTranslation, StateSpace
 from catlab.metaplectic import Propagator, period_phase
-from catlab.scars import (TORUS_SUM_TOL, _half_period_map, _reduce,
-                          leading_eigenvalue, measure_target)
+from catlab.scars import (TORUS_SUM_TOL, _gaussian_window, _half_period_map,
+                          _reduce, leading_eigenvalue, measure_target)
 from catlab.symplectic import quantum_period
 from conftest import B_CAT
 
@@ -425,7 +425,7 @@ def test_factored_matches_materialized(scar6):
 
 def test_ensemble_holds_one_orbit_array(scar12):
     # Building the ensemble and its matrix elements allocates at most the
-    # P x N array V plus column chunks and length-N FFT work arrays: no
+    # P x N array V plus window-sized and length-N FFT work arrays: no
     # second orbit array, no P x N copy of U V or conj(V).
     tracemalloc.start()
     try:
@@ -453,14 +453,21 @@ def _per_j_reference(scar, j):
 
 
 WINDOW2 = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+# The scan kernel's gate: the README and benchmark scars, and N = 34, where
+# the Gaussian's window is the whole row.
+KERNEL_CASES = [(B_CAT, 6), (B_CAT, 12), ([[5, 2], [2, 1]], 4),
+                ([[5, 2], [2, 1]], 6), ([[2, 3], [3, 5]], 6),
+                ([[1, 1], [1, 2]], 6), ([[29, 12], [12, 5]], 2)]
+KERNEL_IDS = ["scar6", "scar12", "M5-k4", "M5-k6", "M7-k6", "CAT_T-k6",
+              "M29-k2"]
 
 
-@pytest.mark.parametrize("fixture", ["scar6", "scar12"])
-def test_window_kernel_matches_per_j_reference(fixture, request):
+@pytest.mark.parametrize("B,k", KERNEL_CASES, ids=KERNEL_IDS)
+def test_window_kernel_matches_per_j_reference(B, k, scar12):
     # One pass fills the window and far vectors, whose entries reduce mod
     # 2N to large residues (at N = 46368, (98765, -123457) is
     # (6029, -30721)), and (N, N), which is its own negative.
-    built = request.getfixturevalue(fixture)
+    built = scar12 if (B, k) == (B_CAT, 12) else build_scar(B, k)
     scar = ScarEnsemble(built.B, built.N, built.P)  # empty caches
     N = scar.N
     far = [(7, -3), (98765, -123457), (-98765, 123457), (N, N), (3 * N, -N)]
@@ -477,9 +484,35 @@ def test_window_kernel_matches_per_j_reference(fixture, request):
     assert far_j is same_residue
 
 
+@pytest.mark.parametrize("B,k", KERNEL_CASES, ids=KERNEL_IDS)
+def test_gaussian_window_is_the_least_proven_radius(B, k):
+    # The kernel reads G_N = V[P/2] on |w| <= R, R the least radius whose
+    # omitted l2 mass is at most TORUS_SUM_TOL ||G_N||, or on the whole row
+    # when 2R + 1 > N; the masses are summed here with fsum.
+    scar = build_scar(B, k)
+    N = scar.N
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    assert np.array_equal(scar.V[scar.P // 2], G)
+    dist = np.minimum(np.arange(N), N - np.arange(N))
+    goal = TORUS_SUM_TOL * np.linalg.norm(G)
+
+    def omitted(r):
+        return math.sqrt(math.fsum(np.abs(G[dist > r]) ** 2))
+
+    w, Gw = _gaussian_window(G.real)
+    if len(w) == N:
+        R = N // 2
+        assert np.array_equal(w, np.arange(N))
+    else:
+        R = -w[0]
+        assert np.array_equal(w, np.arange(-R, R + 1)) and 2 * R + 1 < N
+    assert np.array_equal(Gw, G[w].real) and not G.imag.any()
+    assert omitted(R) <= goal < omitted(R - 1)
+
+
 def test_window_kernel_memory(scar12):
-    # The k = 12 window-2 set is filled from column chunks: its work
-    # arrays stay far below one P x N array.
+    # The k = 12 window-2 set is filled from the Gaussian's window in
+    # blocks of residues: its work arrays stay far below one P x N array.
     scar = build_scar(B_CAT, 12)
     scar.V  # the orbit is built on first use, before the trace
     tracemalloc.start()
@@ -495,9 +528,9 @@ def test_scan_fills_its_window_in_one_pass(scar6, monkeypatch):
     passes = []
     grams = catlab.scars._translation_grams
 
-    def counted(V, ms):
+    def counted(V, B, ms):
         passes.append(len(ms))
-        return grams(V, ms)
+        return grams(V, B, ms)
 
     monkeypatch.setattr(catlab.scars, "_translation_grams", counted)
     scar = build_scar(B_CAT, 6)
@@ -519,6 +552,14 @@ def test_matrix_element_permutes_each_d_once(scar6):
         direct = complex(np.sum(Dj * Dk[w][:, w]) / scar.P)
         assert scar.matrix_element(j, k) == direct
     assert len(scar._wdmats) == 25
+
+
+def test_scar_ensemble_can_refuse_an_n_other_than_n_k():
+    # Away from N_k the lattice sums behind theta, phi and D_0 can exceed
+    # TORUS_SUM_LIMIT: at N = 10, P = 30, A(13) needs radius 4.3e5.
+    assert quantum_period(B_CAT, 10) == 30
+    with pytest.raises(ValueError, match="t = 13, N = 10 .* TORUS_SUM_LIMIT"):
+        ScarEnsemble(B_CAT, 10, 30)
 
 
 def test_build_scar_checks_the_period_phase(scar6):
@@ -704,6 +745,11 @@ def test_measure_target_table():
 def test_semiclassical_scan_window_one(scar6):
     rows = semiclassical_scan(scar6, 1)
     assert len(rows) == 81
+    # the one product against the API, one matrix element at a time
+    norm2 = scar6.norm_squared()
+    for j1, j2, k1, k2, ratio, _, _ in rows:
+        me = scar6.matrix_element((j1, j2), (k1, k2))
+        assert abs(ratio - me / norm2) <= 1e-15
     errs = {(r[0], r[1], r[2], r[3]): r[6] for r in rows}
     assert errs[(0, 0, 0, 0)] < 1e-12
     assert max(errs.values()) < 0.25
