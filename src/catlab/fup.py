@@ -30,9 +30,12 @@ def _check_cantor(depth):
     _check_bytes(18 * 3 ** depth, "a depth-%d Cantor digit test" % depth)
 
 
-def _check_submatrix(shape):
-    # the phase matrix, its scaled copy and the copy the SVD factors
-    _check_bytes(48 * shape[0] * shape[1], "a %d x %d DFT submatrix" % shape)
+def _check_submatrix(rows, cols, L, split=True):
+    # 32 bytes per entry of the real half blocks (split) or of the complex
+    # block; 80 when the phase modulus (4L when split) squared is >= 2^63
+    n = (rows + 1) // 2 * ((cols + 1) // 2) if split else rows * cols
+    per = 80 if (4 * L if split else L) ** 2 >= 2 ** 63 else 32
+    _check_bytes(per * n, "a %d x %d DFT submatrix" % (rows, cols))
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,44 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
     return True, None
 
 
+def _phases(a, b, L):
+    """(a_i b_j mod L) / L, in int64 while L^2 < 2^63, else Python ints."""
+    if L * L >= 2 ** 63:
+        a, b = a.astype(object), b.astype(object)
+    return (np.outer(a, b) % L / L).astype(float, copy=False)
+
+
+def _top(block):
+    return np.linalg.svd(block, compute_uv=False)[0] if block.size else 0.0
+
+
+def _dft_norm(rows, cols, wr, wc, L):
+    """
+    Largest singular value of wr[i] wc[j] e^{-2 pi i rows[i] cols[j] / L}
+    / sqrt(L) for sorted integer indices.  When both index sets and their
+    weights are symmetric, rows = (c + s) / 2 with -S = S and w(s) =
+    w(-s), the matrix is unitary diagonals times e^{-2 pi i s t / 4L}: the
+    even/odd basis splits it into the real blocks a_s a_t cos and 2 sin
+    (a = 1 at s = 0, sqrt 2 elsewhere) on s, t >= 0 and on s, t > 0.
+    Otherwise it is one complex SVD.  Phases are reduced in integers.
+    """
+    split = all((v + v[::-1] == v[0] + v[-1]).all() and (w == w[::-1]).all()
+                for v, w in ((rows, wr), (cols, wc)))
+    _check_submatrix(len(rows), len(cols), L, split)
+    if not split:
+        sub = wr[:, None] * np.exp(-2j * np.pi * _phases(rows, cols, L)) * wc
+        return float(_top(sub)) / math.sqrt(L)
+    i, j = len(rows) // 2, len(cols) // 2  # the halves s >= 0 and t >= 0
+    theta = 2 * np.pi * _phases(2 * rows[i:] - rows[0] - rows[-1],
+                                2 * cols[j:] - cols[0] - cols[-1], 4 * L)
+    i0, j0 = len(rows) % 2, len(cols) % 2  # 1 when a centre s = 0 (t = 0)
+    a, b = math.sqrt(2) * wr[i:], math.sqrt(2) * wc[j:]
+    a[:i0], b[:j0] = wr[i:i + i0], wc[j:j + j0]
+    even = _top(a[:, None] * np.cos(theta) * b)
+    odd = _top(2 * wr[i + i0:, None] * np.sin(theta[i0:, j0:]) * wc[j + j0:])
+    return float(max(even, odd)) / math.sqrt(L)
+
+
 def fup_norm(X_minus, X_plus):
     """
     Largest singular value of the DFT submatrix with rows X- and
@@ -205,12 +246,11 @@ def fup_norm(X_minus, X_plus):
         raise ValueError("sets must share a grid size")
     if not X_minus.cells or not X_plus.cells:
         return 0.0
-    _check_submatrix((len(X_minus.cells), len(X_plus.cells)))
-    M = X_minus.M
-    rows = X_minus.indices()
-    cols = X_plus.indices()
-    sub = np.exp(-2j * np.pi * np.outer(rows, cols) / M) / math.sqrt(M)
-    return float(np.linalg.svd(sub, compute_uv=False)[0])
+    # sized before the indices: the split's size bounds either path's
+    _check_submatrix(len(X_minus.cells), len(X_plus.cells), X_minus.M)
+    rows, cols = X_minus.indices(), X_plus.indices()
+    return _dft_norm(rows, cols, np.ones(len(rows)), np.ones(len(cols)),
+                     X_minus.M)
 
 
 def smooth_bump(t):
@@ -249,18 +289,18 @@ def basic_uncertainty_norm(M, delta):
     diag(chi_x) F^dagger diag(chi_xi).
     """
     h = 1.0 / M
-    x = np.fft.fftfreq(M)
-    xi = 2 * np.pi * np.fft.fftfreq(M)
+    w = math.ceil(3 * M ** (1 - delta)) + 1  # |k| <= w holds both supports
+    _check_submatrix(min(2 * w + 1, M),
+                     min(2 * math.ceil(w / (2 * np.pi)) + 1, M), M)
+    k = np.arange(max(-w, -(M // 2)), min(w, (M - 1) // 2) + 1)
+    x = k * (1.0 / M)  # np.fft.fftfreq(M)[k], bit for bit
     cx = smooth_bump(x / h ** delta)
-    cxi = smooth_bump(xi / h ** delta)
+    cxi = smooth_bump(2 * np.pi * x / h ** delta)
     rows = np.nonzero(cx)[0]
     cols = np.nonzero(cxi)[0]
     if rows.size == 0 or cols.size == 0:
         return 0.0
-    sub = (cx[rows, None]
-           * np.exp(2j * np.pi * np.outer(rows, cols) / M) / math.sqrt(M)
-           * cxi[None, :][:, cols])
-    return float(np.linalg.svd(sub, compute_uv=False)[0])
+    return _dft_norm(k[rows], k[cols], cx[rows], cxi[cols], M)
 
 
 def scaling_experiment(kind, delta=None, sizes=None, depths=None):
@@ -286,7 +326,7 @@ def scaling_experiment(kind, delta=None, sizes=None, depths=None):
         depths = depths or list(range(4, 10))
         for r in depths:
             _check_cantor(r)
-            _check_submatrix((2 ** r, 2 ** r))
+            _check_submatrix(2 ** r, 2 ** r, 3 ** r)
         sizes = [3 ** r for r in depths]
         hs = [1.0 / M for M in sizes]
         _check_sizes(hs)

@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from catlab import (S1, SymplecticMatrix, admissible_N, certify_wreath,
-                    char_poly,
-                    egorov_defect, metaplectic_sl2, metaplectic_adjoint,
+from catlab import (S1, SymplecticMatrix, admissible_N, cantor_set,
+                    certify_wreath, char_poly, egorov_defect, fup_norm,
+                    metaplectic_sl2, metaplectic_adjoint,
                     overlap_closed_form, overlap_quadrature, period_phase,
                     position_density, power_scan, project_gaussian,
                     quantum_period, reciprocal_census, rotation_propagator,
@@ -210,5 +210,9 @@ def test_15_fup_decay():
     run = scaling_experiment("fup", depths=[4, 5, 6, 7, 8, 9])
     monotone = all(b < a for a, b in zip(run.norms, run.norms[1:]))
     ok = monotone and run.fitted_slope >= 0.05
-    report(15, "fup-decay", ok,
-           "monotone=%s beta=%.4f" % (monotone, run.fitted_slope))
+    # companion, with no bound: r_k is submultiplicative, so by Fekete's
+    # lemma beta >= -log r_10 / (10 log 3), which reads about 0.0798
+    X = cantor_set(10)
+    fekete = -math.log(fup_norm(X, X)) / (10 * math.log(3))
+    report(15, "fup-decay", ok, "monotone=%s beta=%.4f fekete_k10=%.4f"
+           % (monotone, run.fitted_slope, fekete))

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 import catlab
 from catlab import (DiscreteSet, cantor_set, fup_norm, neighborhood,
                     porosity_check, scaling_experiment)
+from catlab import fup
 from catlab.fup import basic_uncertainty_norm, product_set, smooth_bump
 
 
@@ -51,16 +53,18 @@ def _refusal_peak(fn, *args, **kwargs):
 
 def test_oversized_requests_refuse_before_allocating():
     # a 3^20 digit array; 2.8 GB of lines counts at depth 8; a 10^10-cell
-    # mask; a 12000 x 12000 DFT submatrix
+    # mask; a 20000 x 20000 DFT submatrix (two 10^4 x 10^4 real blocks);
+    # the bump window of M = 2^40, whose arrays alone would be 50 MB each
     X8 = cantor_set(8)
     XX8 = product_set(X8, X8)
     lone = DiscreteSet(10 ** 5, 2, frozenset({(0, 0)}))
-    full = full_set(12000)
+    full = full_set(20000)
     for fn, args, kwargs in [
             (cantor_set, (20,), {}),
             (porosity_check, (XX8, 1 / 9, 3.0 ** -8, 1.0), {"mode": "lines"}),
             (neighborhood, (lone, 0.0), {}),
-            (fup_norm, (full, full), {})]:
+            (fup_norm, (full, full), {}),
+            (basic_uncertainty_norm, (2 ** 40, 0.5), {})]:
         assert _refusal_peak(fn, *args, **kwargs) < 100_000
 
 
@@ -306,3 +310,86 @@ def test_basic_scaling_matches_theory():
         scaling_experiment("basic", delta=0.4)
     with pytest.raises(ValueError):
         scaling_experiment("nope")
+
+
+def _complex_norm(rows, cols, wr, wc, M):
+    """The complex SVD of the weighted DFT submatrix, integer phases."""
+    q = np.outer(np.array(rows, dtype=object), np.array(cols, dtype=object))
+    sub = np.exp(-2j * np.pi * (q % M / M).astype(float))
+    sub = np.asarray(wr)[:, None] * sub * np.asarray(wc)
+    return np.linalg.svd(sub, compute_uv=False)[0] / math.sqrt(M)
+
+
+def _blocks(monkeypatch):
+    """Records the dtype of every block whose top singular value is taken."""
+    kinds = []
+    top = fup._top
+    monkeypatch.setattr(fup, "_top",
+                        lambda b: kinds.append(b.dtype.kind) or top(b))
+    return kinds
+
+
+def _sets(M, *cells):
+    return [DiscreteSet(M, 1, frozenset(c)) for c in cells]
+
+
+def test_split_norm_matches_integer_phase_svd(monkeypatch):
+    kinds = _blocks(monkeypatch)
+    cases = [(cantor_set(k), cantor_set(k)) for k in range(9)]
+    cases.append((full_set(30), full_set(30)))
+    cases.append(tuple(_sets(31, {2, 9, 15, 21, 28}, {2, 9, 15, 21, 28})))
+    # centres 10 and 5.5: a half-integer centre needs the modulus 4M
+    cases.append(tuple(_sets(40, {3, 4, 10, 16, 17}, {2, 5, 6, 9})))
+    for X, Y in cases:
+        r, c = X.indices(), Y.indices()
+        ref = _complex_norm(r, c, np.ones(len(r)), np.ones(len(c)), X.M)
+        assert abs(fup_norm(X, Y) - ref) <= 1e-14 * ref, (X.M, r, c)
+    assert set(kinds) == {"f"}
+    del kinds[:]
+    X, Y = _sets(40, {1, 2, 7, 30}, {3, 4, 10, 16, 17})  # X is asymmetric
+    ref = _complex_norm(X.indices(), Y.indices(), np.ones(4), np.ones(5), 40)
+    assert abs(fup_norm(X, Y) - ref) <= 1e-14 * ref
+    assert kinds == ["c"]
+
+
+def test_basic_split_matches_integer_phase_svd(monkeypatch):
+    kinds = _blocks(monkeypatch)
+    for M in (16, 1000, 16384):
+        for delta in (0.5, 0.6, 0.75, 0.99):
+            del kinds[:]
+            # the parent's full-length fftfreq construction of the supports
+            h = 1.0 / M
+            cx = smooth_bump(np.fft.fftfreq(M) / h ** delta)
+            cxi = smooth_bump(2 * np.pi * np.fft.fftfreq(M) / h ** delta)
+            rows, cols = np.nonzero(cx)[0], np.nonzero(cxi)[0]
+            ref = _complex_norm(rows, cols, cx[rows], cxi[cols], M)
+            got = basic_uncertainty_norm(M, delta)
+            assert abs(got - ref) <= 1e-14 * ref, (M, delta)
+            # the x support reaches the Nyquist index -M/2 only at M = 16
+            nyquist = cx[M // 2] > 0
+            assert nyquist == (M == 16 and delta <= 0.6)
+            assert kinds == (["c"] if nyquist else ["f", "f"])
+
+
+def test_depth_8_norm_has_integer_phase_accuracy():
+    # float phases 2 pi (x y) / M were 1.3e-14 off here
+    X = cantor_set(8)
+    r = X.indices()
+    ref = _complex_norm(r, r, np.ones(len(r)), np.ones(len(r)), X.M)
+    assert abs(fup_norm(X, X) - ref) <= 2e-15
+
+
+def test_fup_norm_phases_are_exact_beyond_int64():
+    # at M = 3^30, x y reaches 4e28: int64 products wrap, and float phases
+    # lose the residue; the reference reduces each x y in Python integers
+    M = 3 ** 30
+    c = M // 2
+    pairs = [({c - 10 ** 13, c, c + 10 ** 13},
+              {10 ** 14 - 7 * 10 ** 12, 10 ** 14, 10 ** 14 + 7 * 10 ** 12}),
+             ({7, 10 ** 13, 2 * 10 ** 14}, {3, M // 3, M - 5})]
+    for A, B in pairs:
+        sub = np.array([[cmath.exp(-2j * math.pi * (x * y % M) / M)
+                         for y in sorted(B)] for x in sorted(A)])
+        ref = np.linalg.svd(sub, compute_uv=False)[0] / math.sqrt(M)
+        got = fup_norm(*_sets(M, A, B))
+        assert abs(got - ref) <= 1e-14 * ref
