@@ -11,8 +11,10 @@ the command lines always come from the README next to this script, so
 two checkouts run the same examples.  With REF (the OUT of an earlier
 run), every artifact is compared byte for byte with its namesake in
 REF.  For a CSV, JSON or PGM that differs, the largest absolute
-difference of each numeric field is printed: a PGM's `original max`,
-and its pixels in levels.  Any other difference (a missing or extra
+difference of each numeric field is printed (a PGM's `original max`,
+and its pixels in levels), next to the same difference relative to the
+field's largest magnitude in REF; for a CSV, so is the number of rows
+that differ.  Any other difference (a missing or extra
 file, a changed header, key or string, a PGM's magic or geometry, or a
 non-finite difference) is reported as non-numeric.  Exits 1 when any
 example exits nonzero, the README has none, or a non-numeric difference
@@ -107,7 +109,7 @@ def compare(out, ref):
         with open(new, "rb") as f, open(old, "rb") as g:
             if f.read() == g.read():
                 continue
-        fields, other = {}, set()
+        fields, scale, other = {}, {}, set()
         if not name.endswith((".csv", ".json", ".pgm")):
             other.add("bytes")
         else:
@@ -116,6 +118,9 @@ def compare(out, ref):
                 other.add("fields or shape")
             else:
                 for (field, x), (_, y) in zip(a, b):
+                    size = _numeric_diff(y, 0)
+                    if size is not None:
+                        scale[field] = max(scale.get(field, 0.0), size)
                     if x == y:
                         continue
                     d = _numeric_diff(x, y)
@@ -124,8 +129,15 @@ def compare(out, ref):
                     else:
                         fields[field] = max(fields.get(field, 0.0), d)
         print("differs: %s" % name)
+        if name.endswith(".csv"):
+            with open(new) as f, open(old) as g:
+                rows = list(zip(f.readlines()[1:], g.readlines()[1:]))
+            print("  %d of %d rows differ"
+                  % (sum(x != y for x, y in rows), len(rows)))
         for field, d in sorted(fields.items()):
-            print("  %s: max |diff| = %.3g" % (field, d))
+            print("  %s: max |diff| = %.3g, %.3g relative to its largest "
+                  "|value|" % (field, d, d / scale[field] if scale[field]
+                               else math.inf))
         for what in sorted(other):
             print("  non-numeric difference: %s" % what)
         ok = ok and not other

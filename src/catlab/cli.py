@@ -75,8 +75,9 @@ def write_csv(path, header, rows):
 
 def write_pgm(path, row_iter, shape, maxval):
     """
-    8-bit P5 PGM, max-normalized; row_iter yields float rows, each written
-    as it is produced, so no N x N image is held.
+    8-bit P5 PGM, max-normalized; row_iter yields float rows, or 2-D
+    blocks of rows, each written as it is produced, so no N x N image is
+    held.
     """
     header = ("P5\n# max-normalized density, original max %.17g\n%d %d\n255\n"
               % (maxval, shape[1], shape[0]))
@@ -144,27 +145,32 @@ def cmd_scar_scan(args):
 def cmd_scar_density(args):
     scar = scars.build_scar(parse_matrix(args.matrix), args.k)
     N = scar.N
-    # At N <= 1024 the rows (at most 8 MB) are kept for the max, the PGM
-    # and the CSV; above, they are streamed once for the max and once for
-    # the PGM.
-    rows = scar.density_rows(args.center)
-    if N <= 1024:
-        rows = list(rows)
-    maxval = max(float(row.max()) for row in rows)
     if N > 1024:
-        rows = scar.density_rows(args.center)
-    write_pgm(_out_path(args, "pgm"), rows, (N, N), maxval)
-    if N <= 1024:
-        # the bytes write_csv gives (ints, then floats at 17 digits): one
-        # template per row, with j2 filled in, takes j1 and each value
-        template = "".join("%%d,%d,%%.17g\n" % j2 for j2 in range(N))
-        fields = [0] * (2 * N)
-        lines = ["j1,j2,density\n"]
-        for j1, row in enumerate(rows):
-            fields[0::2] = [j1] * N
-            fields[1::2] = row.tolist()
-            lines.append(template % tuple(fields))
-        _atomic_write(_out_path(args, "csv"), "".join(lines))
+        # the rows are streamed once for the max and once for the PGM
+        maxval = max(float(row.max())
+                     for row in scar.density_rows(args.center))
+        write_pgm(_out_path(args, "pgm"), scar.density_rows(args.center),
+                  (N, N), maxval)
+        return
+    # The folded block (at most 2.1 MB) gives the max, the PGM and the
+    # CSV, read through c; each distinct value is formatted once.
+    D, c = scar.folded_density(args.center)
+    write_pgm(_out_path(args, "pgm"),
+              (D[np.ix_(c[lo:lo + 64], c)] for lo in range(0, N, 64)),
+              (N, N), float(D.max()))
+    upper = np.triu_indices(len(D))
+    S = np.empty(D.shape, dtype=object)
+    S[upper] = ["%.17g" % v for v in D[upper].tolist()]
+    S.T[upper] = S[upper]
+    # the bytes write_csv gives: one template, with j2 filled in and j1
+    # left as "\0", is filled once per folded row with its value strings
+    template = "".join("\0,%d,%%s\n" % j2 for j2 in range(N))
+    rows = [(template % tuple(r)).encode() for r in S[:, c].tolist()]
+    del S  # the value strings go before the file's bytes are assembled
+    lines = [b"j1,j2,density\n"]
+    lines += [rows[i].replace(b"\0", b"%d" % j1)
+              for j1, i in enumerate(c.tolist())]
+    _atomic_write(_out_path(args, "csv"), b"".join(lines), binary=True)
 
 
 def cmd_overlap_test(args):

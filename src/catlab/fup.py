@@ -282,6 +282,15 @@ def _fit_slope(hs, norms):
     return float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
 
 
+def _basic_window(M, delta):
+    """The bound w on |k| that holds both bump supports at size M;
+    ValueError when the submatrix it bounds exceeds FUP_MAX_BYTES."""
+    w = math.ceil(3 * M ** (1 - delta)) + 1
+    _check_submatrix(min(2 * w + 1, M),
+                     min(2 * math.ceil(w / (2 * np.pi)) + 1, M), M)
+    return w
+
+
 def basic_uncertainty_norm(M, delta):
     """
     Norm of chi(x / h^delta) F^{-1} chi(xi / h^delta) F at h = 1/M,
@@ -289,9 +298,7 @@ def basic_uncertainty_norm(M, delta):
     diag(chi_x) F^dagger diag(chi_xi).
     """
     h = 1.0 / M
-    w = math.ceil(3 * M ** (1 - delta)) + 1  # |k| <= w holds both supports
-    _check_submatrix(min(2 * w + 1, M),
-                     min(2 * math.ceil(w / (2 * np.pi)) + 1, M), M)
+    w = _basic_window(M, delta)
     k = np.arange(max(-w, -(M // 2)), min(w, (M - 1) // 2) + 1)
     x = k * (1.0 / M)  # np.fft.fftfreq(M)[k], bit for bit
     cx = smooth_bump(x / h ** delta)
@@ -309,9 +316,10 @@ def scaling_experiment(kind, delta=None, sizes=None, depths=None):
     fitted slope vs the theory slope (2 delta - 1) / 2 of dimension d = 1.
     kind="fup": Cantor-pair DFT submatrix norms across depths, fitted
     decay exponent beta (theory slope unknown; reported as nan).
-    Both refuse before their first SVD: fewer than 4 distinct sizes, and
-    for "fup" a negative depth or one whose digit test or 2^r x 2^r
-    submatrix would exceed FUP_MAX_BYTES.
+    Both refuse before their first SVD: fewer than 4 distinct sizes, for
+    "basic" an M whose submatrix would exceed FUP_MAX_BYTES, and for
+    "fup" a negative depth or one whose digit test or 2^r x 2^r
+    submatrix would.
     """
     if kind == "basic":
         if not 0.5 <= delta < 1:
@@ -319,6 +327,8 @@ def scaling_experiment(kind, delta=None, sizes=None, depths=None):
         sizes = sizes or [2 ** e for e in range(8, 15)]
         hs = [1.0 / M for M in sizes]
         _check_sizes(hs)
+        for M in sizes:
+            _basic_window(M, delta)
         norms = [basic_uncertainty_norm(M, delta) for M in sizes]
         return ScalingRun(kind, tuple(sizes), tuple(hs), tuple(norms),
                           _fit_slope(hs, norms), (2 * delta - 1) / 2)

@@ -555,6 +555,27 @@ class ScarEnsemble:
             amp = self.V[:, cols[lo:lo + rows]].T @ W / math.sqrt(self.P)
             yield from np.roll(np.abs(amp) ** 2, shift, axis=1)
 
+    def folded_density(self, center):
+        """
+        (D, c) with position_density(materialize(), center) = D[c][:, c].
+        Every orbit row is even and wperm is an involution, so the density
+        is invariant under j1 -> -j1, j2 -> -j2 and (j1, j2) -> (j2, j1):
+        D is its (N/2 + 1)^2 block at j1, j2 <= N/2 from one GEMM,
+        mirrored from the upper triangle so the three symmetries hold bit
+        for bit, and c(j) = min(j, N - j), rolled by N/2 with center.
+        Raises AssertionError when max |V[:, j] - V[:, -j]| exceeds
+        PERIOD_PHASE_TOL.
+        """
+        N, h, V = self.N, self.N // 2, self.V
+        defect = float(np.abs(V[:, 1:h] - V[:, :h:-1]).max(initial=0.0))
+        if defect > PERIOD_PHASE_TOL:
+            raise AssertionError("the orbit is not even (defect %.3e)"
+                                 % defect)
+        amp = V[:, :h + 1].T @ V[self.wperm, :h + 1] / math.sqrt(self.P)
+        D = np.abs(amp) ** 2
+        c = (np.arange(N) + (h if center else 0)) % N
+        return np.triu(D) + np.triu(D, 1).T, np.minimum(c, N - c)
+
     def _dmats_of(self, js):
         """
         [D_j for j in js], D[t, s] = <U_{j/N} v_t, v_s> for lattice

@@ -189,23 +189,69 @@ def test_scar_density(tmp_path):
     assert len(csv_lines) == 1 + 144 * 144
 
 
-def test_scar_density_computes_each_row_once(tmp_path, monkeypatch):
-    # at N = 144 <= 1024 one pass over the rows feeds the max, the PGM and
-    # the CSV
+def test_scar_density_folds_one_block(tmp_path, monkeypatch):
+    # at N = 144 <= 1024 one folded block feeds the max, the PGM and the
+    # CSV; no density row is computed
     import catlab.scars
-    lengths = []
-    density_rows = catlab.scars.ScarEnsemble.density_rows
+    calls = []
+    folded_density = catlab.scars.ScarEnsemble.folded_density
 
     def counted(self, center):
-        for row in density_rows(self, center):
-            lengths.append(len(row))
-            yield row
+        calls.append(center)
+        return folded_density(self, center)
 
-    monkeypatch.setattr(catlab.scars.ScarEnsemble, "density_rows", counted)
+    def refused(self, center):
+        raise AssertionError("density_rows called at N <= 1024")
+
+    monkeypatch.setattr(catlab.scars.ScarEnsemble, "folded_density", counted)
+    monkeypatch.setattr(catlab.scars.ScarEnsemble, "density_rows", refused)
     assert main(["scar-density", "--matrix", CAT, "--k", "6", "--center",
                  "--out", str(tmp_path)]) == 0
-    assert lengths == [144] * 144
-    assert (tmp_path / "scar-density-0.csv").exists()
+    assert calls == [True]
+    lines = (tmp_path / "scar-density-0.csv").read_text().splitlines()
+    assert len(lines) == 1 + 144 * 144
+
+
+def _density_csv(path, N):
+    """The CSV's value strings as an N x N grid, after checking j1, j2."""
+    header, *lines = path.read_text().splitlines()
+    assert header == "j1,j2,density"
+    cells = [line.split(",") for line in lines]
+    assert [(int(a), int(b)) for a, b, _ in cells] == \
+        [(j1, j2) for j1 in range(N) for j2 in range(N)]
+    return np.array([v for _, _, v in cells]).reshape(N, N)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_scar_density_csv_symmetries_and_max(tmp_path, center):
+    # the value strings are bitwise invariant under j1 -> -j1, j2 -> -j2
+    # and the swap, and the PGM header carries the CSV's max
+    assert main(["scar-density", "--matrix", "5,2;2,1", "--k", "4",
+                 "--out", str(tmp_path)] + ["--center"] * center) == 0
+    N = 204
+    grid = _density_csv(tmp_path / "scar-density-0.csv", N)
+    neg = -np.arange(N) % N
+    assert np.array_equal(grid, grid[neg])
+    assert np.array_equal(grid, grid[:, neg])
+    assert np.array_equal(grid, grid.T)
+    pgm = (tmp_path / "scar-density-0.pgm").read_bytes()
+    maxval = pgm.split(b"\n")[1].rsplit(b" ", 1)[1].decode()
+    assert maxval == max(grid.ravel(), key=float)
+
+
+def test_scar_density_refuses_an_odd_orbit(tmp_path, monkeypatch):
+    import catlab.scars
+    orbit = catlab.scars.ScarEnsemble.V.func
+
+    def perturbed(self):
+        V = orbit(self)
+        V[:, 1] += 1e-5
+        return V
+
+    monkeypatch.setattr(catlab.scars.ScarEnsemble, "V", property(perturbed))
+    assert main(["scar-density", "--matrix", CAT, "--k", "6",
+                 "--out", str(tmp_path)]) == 3
+    assert read_json(tmp_path / "scar-density-0.json")["kind"] == "invariant"
 
 
 def test_write_pgm_streams_rows(tmp_path):

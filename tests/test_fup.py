@@ -312,6 +312,18 @@ def test_basic_scaling_matches_theory():
         scaling_experiment("nope")
 
 
+def test_basic_scaling_sizes_every_M_before_any_norm(monkeypatch):
+    # the last size refuses before the first four are computed
+    calls = []
+    dft_norm = fup._dft_norm
+    monkeypatch.setattr(fup, "_dft_norm",
+                        lambda *a: calls.append(a) or dft_norm(*a))
+    with pytest.raises(ValueError, match="FUP_MAX_BYTES"):
+        scaling_experiment("basic", delta=0.5,
+                           sizes=[2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 40])
+    assert calls == []
+
+
 def _complex_norm(rows, cols, wr, wc, M):
     """The complex SVD of the weighted DFT submatrix, integer phases."""
     q = np.outer(np.array(rows, dtype=object), np.array(cols, dtype=object))

@@ -19,11 +19,26 @@ ARTIFACTS = sorted([
 ])
 
 
-def _example_lines():
+def _script():
     spec = importlib.util.spec_from_file_location("readme_examples", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.example_lines()
+    return module
+
+
+def _example_lines():
+    return _script().example_lines()
+
+
+def test_compare_reports_rows_and_relative_differences(tmp_path, capsys):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    for d, last in [(new, "3.0000000000000004"), (ref, "3")]:
+        d.mkdir()
+        (d / "a.csv").write_text("j,v\n0,1.5\n1,-4\n2,%s\n" % last)
+    assert _script().compare(str(new), str(ref))
+    out = capsys.readouterr().out
+    assert "1 of 3 rows differ" in out
+    assert "v: max |diff| = 4.44e-16, 1.11e-16 relative" in out
 
 
 def test_readme_examples_are_byte_identical_across_runs(tmp_path):

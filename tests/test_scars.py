@@ -724,6 +724,26 @@ def test_density_rows_match_position_density(scar6, center):
     assert np.abs(rows - grid).max() <= 1e-15 * grid.max()
 
 
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("B, k", [([[2, 1], [1, 1]], 6), ([[1, 1], [1, 2]], 6),
+                                  ([[5, 2], [2, 1]], 4),
+                                  ([[29, 12], [12, 5]], 2)])
+def test_folded_density_matches_position_density(B, k, center):
+    scar = build_scar(B, k)
+    D, c = scar.folded_density(center)
+    grid = position_density(scar.materialize(), center)
+    assert D.shape == (scar.N // 2 + 1,) * 2 and c.shape == (scar.N,)
+    assert np.abs(D[np.ix_(c, c)] - grid).max() <= 1e-15 * grid.max()
+    assert np.array_equal(D, D.T)
+
+
+def test_folded_density_refuses_an_odd_orbit():
+    scar = build_scar(B_CAT, 6)
+    scar.V[:, 1] += 1e-5
+    with pytest.raises(AssertionError, match="not even"):
+        scar.folded_density(False)
+
+
 def test_scar_is_tensor_eigenfunction(scar6, tensor144):
     assert scar6.eigen_residual(tensor144) < 1e-10
 
