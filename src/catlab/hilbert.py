@@ -125,12 +125,12 @@ class LatticeTranslation:
         U as a monomial matrix: (src, phase) with (U c)[i] = phase[i]
         c[src[i]] over the raveled index i, so U[i, src[i]] = phase[i].
         """
-        N, n = self.space.N, self.space.n
-        src = np.arange(N ** n).reshape((N,) * n)
+        N = self.space.N
+        src = np.zeros(1, dtype=np.intp)
         phase = np.ones(1, dtype=np.complex128)
-        for axis in range(n):
-            src = np.roll(src, self._shifts[axis], axis=axis)
-            phase = np.multiply.outer(phase, self._phases[axis])
+        for p, ph in zip(self._shifts, self._phases):
+            src = np.add.outer(N * src, (np.arange(N) - p) % N)
+            phase = np.multiply.outer(phase, ph)
         return src.ravel(), phase.ravel()
 
     def dense(self):
@@ -183,7 +183,10 @@ def project_gaussian(space):
     """
     The projected Gaussian G_N: coefficients
     G_N[j] = (pi h)^{-1/4} N^{-1/2} sum_k exp(-(k + j/N)^2 / 2h),
-    tail truncated below 1e-16 relative contribution.
+    tail truncated below 1e-16 relative contribution.  Each ring
+    k + j/N, -k + j/N is evaluated only where its exponent is >= -750,
+    a prefix and a suffix of j: below -745.2, float64 exp is exactly 0,
+    so the sum is bit-identical to evaluating every ring on all N points.
     """
     if space.n != 1:
         raise ValueError("project_gaussian requires n = 1")
@@ -191,15 +194,27 @@ def project_gaussian(space):
         raise ValueError("project_gaussian requires even N")
     N = space.N
     h = space.h
-    j = np.arange(N) / N
+    reach = math.sqrt(1500 * h)  # |x| <= reach iff x^2 / 2h <= 750
     total = np.zeros(N)
     k = 0
     while True:
-        ring = np.exp(-(k + j) ** 2 / (2 * h))
-        if k > 0:
-            ring = ring + np.exp(-(-k + j) ** 2 / (2 * h))
-        total += ring
-        if k > 1 and ring.max() < 1e-16 * total.max():
+        # j/N <= reach - k for the k ring, j/N >= k - reach for the -k ring,
+        # each widened by a point
+        hi = min(N, max(0, math.ceil((reach - k) * N) + 1))
+        lo = max(0, min(N, math.floor((k - reach) * N) - 1)) if k else N
+        if lo < hi:  # the windows overlap: sum the two terms as one ring
+            j = np.arange(N) / N
+            ring = (np.exp(-(k + j) ** 2 / (2 * h))
+                    + np.exp(-(-k + j) ** 2 / (2 * h)))
+            total += ring
+            top = ring.max()
+        else:
+            plus = np.exp(-(k + np.arange(hi) / N) ** 2 / (2 * h))
+            minus = np.exp(-(-k + np.arange(lo, N) / N) ** 2 / (2 * h))
+            total[:hi] += plus
+            total[lo:] += minus
+            top = max(plus.max(initial=0.0), minus.max(initial=0.0))
+        if k > 1 and top < 1e-16 * total.max():
             break
         k += 1
     coeffs = (math.pi * h) ** (-0.25) * total / math.sqrt(N)

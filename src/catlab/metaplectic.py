@@ -13,6 +13,12 @@ costs O(N b log(N b)) per state with O(N b) workspace.
 
 Every apply_array takes coefficients of shape (..., N^n) and acts on the
 last axis; leading axes are a batch of states.
+
+Every propagator here commutes with parity R: x -> -x, since -I is
+central in Sp(2n, Z).  The dense oracles egorov_defect and period_phase
+work on the even and odd blocks of M in the basis of the pairs {x, -x}
+(_parity_split), at half the size, and add a proven bound for the cross
+block they drop.
 """
 
 from dataclasses import dataclass
@@ -156,40 +162,131 @@ def tensor_propagator(space2, P1, P2):
     return Propagator(space2, classical, apply_array)
 
 
+# Largest |M^P - e^{i phi} I| entry period_phase accepts; ScarEnsemble
+# holds |M^P G_N - e^{i phi} G_N| to the same bound.
+PERIOD_PHASE_TOL = 1e-6
+
+
+def _parity_order(space):
+    """
+    The raveled indices of Z_N^n ordered under parity R: x -> -x as
+    [fixed; reps; partners]: the nf points with x = -x, then one index
+    a < -a of each of the npair pairs {a, -a}, then the partners -a in
+    the same order.  Returns (order, nf, npair).
+    """
+    shape = (space.N,) * space.n
+    i = np.arange(space.dim)
+    neg = np.ravel_multi_index(
+        -np.indices(shape).reshape(space.n, -1) % space.N, shape)
+    reps = i < neg
+    order = np.concatenate([i[neg == i], i[reps], neg[reps]])
+    npair = int(np.count_nonzero(reps))
+    return order, space.dim - 2 * npair, npair
+
+
+def _parity_rows(X, nf, npair):
+    """
+    X <- H X in place, for rows ordered as _parity_order: the fixed rows
+    stay and each pair (a, b) becomes (a + b, a - b).  In that order the
+    orthonormal parity basis Q (columns e_f and (e_a +- e_b)/sqrt(2)) is
+    symmetric and its own inverse, and H is Q with the pair rows scaled
+    by sqrt(2): one step takes rows into the parity basis and back.
+    """
+    a, b = X[nf:nf + npair], X[nf + npair:]
+    a += b
+    b *= -2
+    b += a
+
+
+def _parity_split(P):
+    """
+    P.dense in the parity basis: Q^T M Q = [[E, C_eo], [C_oe, O]], with
+    the even block E (fixed points first) and the odd block O.  Returns
+    ((order, nf, npair), E, O, ||C||_F), the first as _parity_order.
+
+    C = 0 exactly when M R = R M, which every propagator here satisfies:
+    -I is central in Sp(2n, Z), and the Gauss-sum kernel is invariant
+    under (j, k) -> (-j, -k); numerically C is rounding.  Q diag(E, O) Q^T
+    is M_s = (M + R M R)/2, and ||M - M_s||_2 <= ||C||_F bounds what
+    dropping C costs.  ||C||_F = ||M - R M R||_F / 2 is taken from the
+    entries of M, before the change of basis.  Raises ValueError when it
+    exceeds PERIOD_PHASE_TOL: M then does not commute with R.
+    """
+    order, nf, npair = layout = _parity_order(P.space)
+    ne = nf + npair
+    B = P.dense[np.ix_(order, order)]
+    f, a, b = slice(0, nf), slice(nf, ne), slice(ne, None)
+    # M - R M R is these four block differences, each at (x, y) and at
+    # (-x, -y), and zero on the fixed block: ||C||_F^2 = cross2 / 2
+    cross2 = 0.0
+    for r, s in [((f, a), (f, b)), ((a, f), (b, f)), ((a, a), (b, b)),
+                 ((a, b), (b, a))]:
+        d = B[r] - B[s]
+        cross2 += np.vdot(d, d).real
+    cross = math.sqrt(cross2 / 2)
+    if cross > PERIOD_PHASE_TOL:
+        raise ValueError(
+            "propagator does not commute with parity: cross-block bound "
+            "||C||_F = %.3e exceeds PERIOD_PHASE_TOL" % cross)
+    _parity_rows(B, nf, npair)
+    _parity_rows(B.T, nf, npair)
+    B[nf:] *= 1 / math.sqrt(2)
+    B[:, nf:] *= 1 / math.sqrt(2)
+    return layout, B[:ne, :ne], B[ne:, ne:], cross
+
+
 def egorov_defect(P, window):
     """
     max over lattice j, |j|_inf <= window, of
-    ||M^{-1} U_{j/N} M - U_{A^{-1} j / N}||_max on the dense path.
-    U_{j/N} is monomial, so U M is a phased gather of the rows of M, and
-    each shift costs one product M^H (U M).  U_{-j} = U_j^dagger exactly
-    (the phases are reduced mod 2N in integers), so the difference at -j
-    is the conjugate transpose of the one at j, with the same largest
-    entry: only j = 0 and one j of each +-j pair is formed.
+    ||M^{-1} U_{j/N} M - U_{A^{-1} j / N}||_max on the dense path, plus
+    ||C||_F, the bound on what the parity split drops.
+
+    Parity contract: M commutes with R: x -> -x (_parity_split).  With Q
+    the parity basis and M = Q (diag(E, O) + C) Q^T,
+    M^H U M = Q diag(E^H, O^H) Q^T U M + Q C^H Q^T U M, and the second
+    term has max entry <= ||C||_F ||U M||_2 = ||C||_F.  So each shift
+    costs two (N^n/2) x (N^n/2) x N^n products.  U_{j/N} is monomial, so
+    U M is a phased gather of the rows of M, taken in parity order, and
+    Q^T and Q are in-place sums and differences of row pairs.  U_{-j} =
+    U_j^dagger exactly (the phases are reduced mod 2N in integers), so
+    the difference at -j is the conjugate transpose of the one at j, with
+    the same largest entry: only j = 0 and one j of each +-j pair is
+    formed.  Raises ValueError when ||C||_F exceeds PERIOD_PHASE_TOL.
     """
     if window < 0:
         raise ValueError("Egorov window must be >= 0")
     space = P.space
     A_inv = P.classical.inverse()
     M = P.dense
-    Mh = M.conj().T
+    (order, nf, npair), E, O, cross = _parity_split(P)
+    ne = nf + npair
+    # Q = S H, S = 1 on the fixed rows and 1/sqrt(2) on the pair rows, so
+    # the rows of M^H U M are H S diag(E^H, O^H) S (H U M): S is folded
+    # into E^H and O^H
+    s = np.full(ne, 1 / math.sqrt(2))
+    s[:nf] = 1.0
+    Eh, Oh = E.conj().T * np.outer(s, s), O.conj().T / 2
+    del E, O
+    UM = np.empty_like(M)  # H U M, rows in the parity basis
+    diff = np.empty_like(M)  # M^H U M - U', rows in parity order
+    mag = np.empty(M.shape)
     rows = np.arange(space.dim)
     worst = 0.0
     for j in itertools.product(range(-window, window + 1), repeat=2 * space.n):
         if j < tuple(-v for v in j):
             continue
         src, phase = LatticeTranslation(space, j).monomial()
-        UM = M[src]
-        UM *= phase[:, None]
-        diff = Mh @ UM
+        # clip mode writes into UM directly; raise mode buffers a copy
+        np.take(M, src[order], axis=0, out=UM, mode="clip")
+        UM *= phase[order][:, None]
+        _parity_rows(UM, nf, npair)
+        np.matmul(Eh, UM[:ne], out=diff[:ne])
+        np.matmul(Oh, UM[ne:], out=diff[ne:])
+        _parity_rows(diff, nf, npair)
         src, phase = LatticeTranslation(space, A_inv.apply(j)).monomial()
-        diff[rows, src] -= phase
-        worst = max(worst, float(np.abs(diff).max()))
-    return worst
-
-
-# Largest |M^P - e^{i phi} I| entry period_phase accepts; ScarEnsemble
-# holds |M^P G_N - e^{i phi} G_N| to the same bound.
-PERIOD_PHASE_TOL = 1e-6
+        diff[rows, src[order]] -= phase[order]
+        worst = max(worst, float(np.abs(diff, out=mag).max()))
+    return worst + cross
 
 
 @dataclass(frozen=True)
@@ -203,7 +300,14 @@ def period_phase(P, period, probes=None, tol=PERIOD_PHASE_TOL):
     """
     Measures the global phase of M^period = e^{i phi} I.
 
-    Dense path (N^n <= 4096): phi from the trace of the matrix power.
+    Dense path (N^n <= 4096): M splits by parity into its even and odd
+    blocks E, O (_parity_split; M must commute with R: x -> -x, as every
+    propagator here does), and phi is the phase of tr E^P + tr O^P.  The
+    defect is the max entry of Q diag(E^P, O^P) Q^T - e^{i phi} I in the
+    original basis, plus P ||C||_F: with M_s = Q diag(E, O) Q^T,
+    ||M^P - M_s^P||_2 <= P ||M - M_s||_2 <= P ||C||_F since both have
+    norm <= 1, so the defect bounds |M^P - e^{i phi} I|_max.  Raises
+    ValueError when ||C||_F exceeds PERIOD_PHASE_TOL.
     Streamed path: phi from M^period e_0, with the identity defect
     estimated on e_0 plus any supplied probe vectors.
     """
@@ -211,9 +315,21 @@ def period_phase(P, period, probes=None, tol=PERIOD_PHASE_TOL):
         raise ValueError("period must be >= 1")
     space = P.space
     if space.dim <= DENSE_LIMIT:
-        Mp = np.linalg.matrix_power(P.dense, period)
-        phi = float(np.angle(np.trace(Mp) / space.dim))
-        defect = float(np.abs(Mp - np.exp(1j * phi) * np.eye(space.dim)).max())
+        (_, nf, _), E, O, cross = _parity_split(P)
+        E = np.linalg.matrix_power(E, period)
+        O = np.linalg.matrix_power(O, period)
+        phi = float(np.angle((np.trace(E) + np.trace(O)) / space.dim))
+        E.flat[::len(E) + 1] -= np.exp(1j * phi)
+        O.flat[::len(O) + 1] -= np.exp(1j * phi)
+        # the entries of Q diag(E, O) Q^T: E's fixed-point block, its
+        # fixed-pair blocks / sqrt(2), and (E_pp +- O) / 2 on the pairs
+        Epp = E[nf:, nf:]
+        defect = max(np.abs(E[:nf, :nf]).max(),
+                     np.abs(E[:nf, nf:]).max(initial=0.0) / math.sqrt(2),
+                     np.abs(E[nf:, :nf]).max(initial=0.0) / math.sqrt(2),
+                     np.abs(Epp + O).max(initial=0.0) / 2,
+                     np.abs(Epp - O).max(initial=0.0) / 2)
+        defect = float(defect) + period * cross
     else:
         e0 = np.zeros(space.dim, dtype=np.complex128)
         e0[0] = 1.0

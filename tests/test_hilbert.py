@@ -126,6 +126,26 @@ def test_projected_gaussian_shape():
         project_gaussian(StateSpace(1, 33))
 
 
+@pytest.mark.parametrize("N", [34, 144, 610, 6930, 46368])
+def test_projected_gaussian_equals_every_ring_on_every_point(N):
+    # each ring evaluated on all N points, where float64 exp underflows
+    # to exactly 0.0 outside the windows project_gaussian evaluates
+    space = StateSpace(1, N)
+    j = np.arange(N) / N
+    total = np.zeros(N)
+    k = 0
+    while True:
+        ring = np.exp(-(k + j) ** 2 / (2 * space.h))
+        if k > 0:
+            ring = ring + np.exp(-(-k + j) ** 2 / (2 * space.h))
+        total += ring
+        if k > 1 and ring.max() < 1e-16 * total.max():
+            break
+        k += 1
+    full = (math.pi * space.h) ** (-0.25) * total / math.sqrt(N)
+    assert np.array_equal(project_gaussian(space).coeffs, full)
+
+
 def test_tensor_basis_norm_and_factorization():
     u = basis_state(SP, (3,))
     v = basis_state(SP, (5,))

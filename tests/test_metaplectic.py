@@ -8,7 +8,8 @@ from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
                     metaplectic_adjoint, metaplectic_sl2, period_phase,
                     rotation_propagator, tensor_propagator, weyl_quantize)
 from catlab.hilbert import LatticeTranslation, StateSpace
-from catlab.metaplectic import rotation_classical
+from catlab.metaplectic import Propagator, _parity_split, rotation_classical
+from catlab.symplectic import quantum_period
 
 CAT = SymplecticMatrix([[2, 1], [1, 1]])
 SP34 = StateSpace(1, 34)
@@ -81,22 +82,31 @@ def test_dense_equals_column_by_column_build():
         assert np.array_equal(mono, cols)
 
 
-def test_egorov_defect_matches_triple_product():
-    def triple_product_defect(P, window):
-        space = P.space
-        M = P.dense
-        Mh = M.conj().T
-        A_inv = P.classical.inverse()
-        ranges = np.stack(np.meshgrid(
-            *[np.arange(-window, window + 1)] * (2 * space.n),
-            indexing="ij"), axis=-1).reshape(-1, 2 * space.n)
-        worst = 0.0
-        for j in ranges:
-            U = LatticeTranslation(space, j).dense()
-            target = LatticeTranslation(space, A_inv.apply(j)).dense()
-            worst = max(worst, float(np.abs(Mh @ U @ M - target).max()))
-        return worst
+def _triple_product_defect(P, window):
+    """egorov_defect unsplit: max |M^H U_j M - U_{A^-1 j}| from dense U."""
+    space = P.space
+    M = P.dense
+    Mh = M.conj().T
+    A_inv = P.classical.inverse()
+    ranges = np.stack(np.meshgrid(
+        *[np.arange(-window, window + 1)] * (2 * space.n),
+        indexing="ij"), axis=-1).reshape(-1, 2 * space.n)
+    worst = 0.0
+    for j in ranges:
+        U = LatticeTranslation(space, j).dense()
+        target = LatticeTranslation(space, A_inv.apply(j)).dense()
+        worst = max(worst, float(np.abs(Mh @ U @ M - target).max()))
+    return worst
 
+
+def _matrix_power_phase(P, period):
+    """period_phase unsplit: (phi, defect) from the dense M^period."""
+    Mp = np.linalg.matrix_power(P.dense, period)
+    phi = float(np.angle(np.trace(Mp) / P.space.dim))
+    return phi, float(np.abs(Mp - np.exp(1j * phi) * np.eye(P.space.dim)).max())
+
+
+def test_egorov_defect_matches_triple_product():
     sp1, sp2 = StateSpace(1, 10), StateSpace(2, 10)
     T = tensor_propagator(sp2, metaplectic_sl2(sp1, CAT),
                           metaplectic_sl2(sp1, CAT))
@@ -104,7 +114,84 @@ def test_egorov_defect_matches_triple_product():
                       (rotation_propagator(sp2), 1), (T, 1),
                       (_conjugated(sp2, T), 1)]:
         assert abs(egorov_defect(P, window)
-                   - triple_product_defect(P, window)) <= 1e-14
+                   - _triple_product_defect(P, window)) <= 1e-14
+
+
+def _parity_cases():
+    """(propagator, period) of every kind of propagator, with ids."""
+    cases = [pytest.param(metaplectic_sl2(StateSpace(1, N), CAT),
+                          quantum_period(CAT, N), id="sl2 N=%d" % N)
+             for N in (34, 144, 204, 610)]
+    cases += [pytest.param(metaplectic_sl2(StateSpace(1, N), SL2_BY_B[1]), 8,
+                           id="sl2 b=2 N=%d" % N) for N in (34, 204)]
+    M = metaplectic_sl2(SP34, SL2_BY_B[3])
+    Mh = metaplectic_adjoint(SP34, SL2_BY_B[3])
+    period = quantum_period(SymplecticMatrix(SL2_BY_B[3]), 34)
+    cases += [pytest.param(Mh, period, id="adjoint"),
+              pytest.param(M.compose(Mh).compose(M), period, id="compose")]
+    sp1, sp2 = StateSpace(1, 10), StateSpace(2, 10)
+    T = tensor_propagator(sp2, metaplectic_sl2(sp1, CAT),
+                          metaplectic_sl2(sp1, CAT))
+    cases += [pytest.param(rotation_propagator(sp2), 4, id="rotation"),
+              pytest.param(T, quantum_period(CAT, 10), id="tensor"),
+              pytest.param(_conjugated(sp2, T), quantum_period(CAT, 10),
+                           id="conj")]
+    return cases
+
+
+@pytest.mark.parametrize("P,period", _parity_cases())
+def test_parity_split_oracles_match_unsplit_references(P, period):
+    # The split adds the proven bounds P ||C||_F and ||C||_F, so each
+    # defect is an upper bound on the unsplit one and close to it.
+    pp = period_phase(P, period)
+    phi, defect = _matrix_power_phase(P, period)
+    assert abs(np.angle(np.exp(1j * (pp.phi - phi)))) <= 1e-13
+    assert defect - 1e-15 <= pp.defect <= defect + 1e-13
+    reference = _triple_product_defect(P, 1)
+    assert reference - 1e-15 <= egorov_defect(P, 1) <= reference + 1e-13
+
+
+@pytest.mark.parametrize("N,period", [(144, 48), (610, 186)])
+def test_period_phase_bound_grows_with_the_period(N, period):
+    # b = 2 has long periods (M^24 is not proportional to I at N = 144,
+    # M^48 is), and there the added P ||C||_F passes 1e-13: the defect
+    # reads 1.6e-13 against 1.5e-14 unsplit at P = 48, and 8.9e-13 against
+    # 1.7e-14 at P = 186, far below the 1e-8 of criterion 3.
+    P = metaplectic_sl2(StateSpace(1, N), SL2_BY_B[1])
+    cross = _parity_split(P)[3]
+    pp = period_phase(P, period)
+    phi, defect = _matrix_power_phase(P, period)
+    assert abs(np.angle(np.exp(1j * (pp.phi - phi)))) <= 1e-13
+    assert defect - 1e-15 <= pp.defect <= defect + period * cross + 1e-14
+    assert pp.defect <= 1e-11
+
+
+def test_oracles_refuse_a_propagator_that_breaks_parity():
+    # swapping e_1 and e_2 is an involution that does not commute with
+    # x -> -x, so no defect bounded through the parity blocks would hold
+    sp = StateSpace(1, 10)
+    swap = np.arange(10)
+    swap[[1, 2]] = [2, 1]
+    S = Propagator(sp, CAT, lambda c: c[..., swap])
+    with pytest.raises(ValueError, match="cross-block bound"):
+        period_phase(S, 2)
+    with pytest.raises(ValueError, match="cross-block bound"):
+        egorov_defect(S, 0)
+
+
+def test_parity_oracles_memory_at_most_unsplit():
+    # tracemalloc peaks of the unsplit oracles at N = 610, each with the
+    # dense build from a fresh propagator: 22.7 and 28.4 MiB
+    for oracle, bound in [(lambda P: period_phase(P, 30), 22.7),
+                          (lambda P: egorov_defect(P, 1), 28.4)]:
+        P = metaplectic_sl2(StateSpace(1, 610), CAT)
+        tracemalloc.start()
+        try:
+            oracle(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20
 
 
 def test_egorov_defect_forms_one_product_per_pm_pair(monkeypatch):
