@@ -66,10 +66,35 @@ def write_json(path, obj):
                                    default=_fmt) + "\n")
 
 
+def _row_template(types):
+    """
+    (template, complex columns) for rows of these value types: template %
+    row is ",".join(map(_fmt, row)) once each complex column holds its
+    _fmt string.  A float is "%.17g", which formats as format(v, ".17g"),
+    and any other value "%s", which is str(v).
+    """
+    specs = ["%.17g" if issubclass(t, float) else "%s" for t in types]
+    return ",".join(specs), [i for i, t in enumerate(types)
+                             if issubclass(t, complex)]
+
+
 def write_csv(path, header, rows):
+    """
+    The header and one line per row, each value as _fmt formats it; the
+    rows of each distinct tuple of value types share one % template.
+    """
     lines = [",".join(header)]
+    templates = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = _row_template(types)
+        template, cplx = templates[types]
+        if cplx:
+            row = list(row)
+            for i in cplx:
+                row[i] = _fmt(row[i])
+        lines.append(template % tuple(row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

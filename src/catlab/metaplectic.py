@@ -64,13 +64,22 @@ class Propagator:
 
 def _chirp(c, n, L):
     """
-    e^{i pi c k^2 / L} for k < n, with c k^2 reduced mod 2L in integers:
-    a float argument up to pi c L (3e5 at c = 2, L = 46368) would lose
-    ~1e-16 of it per entry, and an orbit of applies would drift in phase.
+    e^{i pi c k^2 / L} for k < n <= L and even L, with r = c k^2 reduced
+    mod 2L in integers: a float argument up to pi c L (3e5 at c = 2,
+    L = 46368) would lose ~1e-16 of it per entry, and an orbit of applies
+    would drift in phase.  r(L - k) = r(k) for even L, so cos and sin of
+    (pi r) (1 / L) are evaluated for k <= L/2 only and mirrored.  numpy's
+    complex division multiplies by the reciprocal, so this is the same
+    array, bit for bit, as np.exp(1j * np.pi * r / L).
     """
-    k = np.arange(n)
-    return np.exp(1j * np.pi * (k * k % (2 * L) * (c % (2 * L)) % (2 * L))
-                  / L)
+    m = min(n, L // 2 + 1)
+    k = np.arange(m)
+    x = np.pi * (k * k % (2 * L) * (c % (2 * L)) % (2 * L)) * (1 / L)
+    out = np.empty(n, dtype=np.complex128)
+    np.cos(x, out=out.real[:m])
+    np.sin(x, out=out.imag[:m])
+    out[m:] = out[L - m:L - n:-1]
+    return out
 
 
 def _sl2_apply(N, a, b, d):
@@ -79,7 +88,7 @@ def _sl2_apply(N, a, b, d):
     chirp_out = np.exp(-1j * np.pi / 4) / math.sqrt(L) * _chirp(d, N, L)
 
     def apply_array(c):
-        x = np.tile(c, b) * chirp_in
+        x = (np.tile(c, b) if b > 1 else c) * chirp_in
         return chirp_out * np.fft.fft(x)[..., :N]
 
     return apply_array
@@ -298,7 +307,9 @@ class PeriodPhase:
 
 def period_phase(P, period, probes=None, tol=PERIOD_PHASE_TOL):
     """
-    Measures the global phase of M^period = e^{i phi} I.
+    Measures the global phase of M^period = e^{i phi} I.  `period` must
+    be a period of M; symplectic.quantum_period need not give one (see
+    there), and the check below then raises.
 
     Dense path (N^n <= 4096): M splits by parity into its even and odd
     blocks E, O (_parity_split; M must commute with R: x -> -x, as every

@@ -11,8 +11,10 @@ in factored form (P states of length N, never an N^2 vector unless
 explicitly materialized).  theta (M^{P/2} = theta T, T a signed
 permutation known in closed form), the period phase phi and the Gram
 D_0, which gives the norm, come from P/2 + 1 exact torus
-autocorrelations with no apply of M (_lattice_gram).  The orbit is built
-on first use; its second half is theta T applied to its first.  Together
+autocorrelations with no apply of M (_lattice_gram): one sequence of
+integer powers B^q, each summed with exact integer phases held in int64.
+The orbit is built on first use, from the G_N and T that _lattice_gram
+computed; its second half is theta T applied to its first.  Together
 with Gaussian overlap closed forms, lattice overlap sums, the exact torus
 autocorrelation, matrix elements, and semiclassical-measure scans.
 """
@@ -64,6 +66,17 @@ def _check_overlap_matrix(B):
     if a + d <= 2:
         raise ValueError("the matrix must be hyperbolic (trace > 2)")
     return B
+
+
+def _powers(B, n):
+    """[B^0, ..., B^n] for 2 x 2 B, as Python-int entries: n products."""
+    ((p, b), (c, d)) = B.entries
+    out = [((1, 0), (0, 1))]
+    for _ in range(n):
+        ((x, y), (z, w)) = out[-1]
+        out.append(((x * p + y * c, x * b + y * d),
+                    (z * p + w * c, z * b + w * d)))
+    return out
 
 
 def overlap_closed_form(B, omega, h):
@@ -170,7 +183,7 @@ def lattice_overlap_sum(B, q, c, h):
     B = _check_overlap_matrix(B)
     if q < 0:
         raise ValueError("lattice_overlap_sum supports q >= 0 only")
-    A = B.power(q).entries
+    A = _powers(B, q)[-1]
     tr = A[0][0] + A[1][1]
     a = 1.0 / (2 * h * tr)
     amp = math.sqrt(2.0 / tr)
@@ -274,6 +287,13 @@ class TorusAutocorrelation:
     tail_bound: float  # proven bound on |sum of the omitted terms|
 
 
+def _check_torus(B, N):
+    """B as _check_overlap_matrix checks it; raises ValueError for odd N."""
+    if N <= 0 or N % 2 != 0:
+        raise ValueError("torus_autocorrelation requires even N > 0")
+    return _check_overlap_matrix(B)
+
+
 def torus_autocorrelation(B, t, N):
     """
     Exact <G_N, M^t G_N> on T^2 for even N: the lattice sum
@@ -282,21 +302,33 @@ def torus_autocorrelation(B, t, N):
 
     of the closed-form overlaps of overlap_closed_form, extended to t = 0
     by B^0 = I; negative t gives the complex conjugate.  The plane value
-    gaussian_autocorrelation is the l = 0 term alone.
+    gaussian_autocorrelation is the l = 0 term alone.  Evaluated by
+    _autocorrelation at A = B^|t|.  Raises ValueError for odd N and when
+    the sum would exceed TORUS_SUM_LIMIT or its int64 guard.
+    """
+    B = _check_torus(B, N)
+    return _autocorrelation(_powers(B, abs(t))[-1], t, N)
 
-    With A = B^|t| and a = pi N / Tr A, the term at l is
+
+def _autocorrelation(A, t, N):
+    """
+    torus_autocorrelation(B, t, N) from the Python-int entries of
+    A = B^|t|.  With a = pi N / Tr A, the term at l is
     sqrt(2 / Tr A) exp(-a <A^-1 l, l>) exp(i pi N <A R l, l> / Tr A).
     In y = W l, W = _reduce(A) and U = W^-1, <A^-1 l, l> = |y|^2 and,
     as U^T R U = R, <A R l, l> = <S R y, y> with S = U^T U; its N
-    multiple is taken mod 2 Tr A exactly, in Python integers.  _box_sum
-    sums the terms over a box whose tail bound is at most TORUS_SUM_TOL
-    times sqrt(2 / Tr A).  Raises ValueError for odd N and when the sum
-    would exceed TORUS_SUM_LIMIT.
+    multiple is taken mod T = 2 Tr A exactly.  _box_sum sums the terms
+    over the box |y_i| <= R whose tail bound is at most TORUS_SUM_TOL
+    times sqrt(2 / Tr A).
+
+    The phase residues -nt y^2, nt y^2 and nd y mod T are exact in
+    Python integers on the 1-D axis and then held in int64; the one 2-D
+    residue (nd y1 mod T) y2 mod T is formed in int64, where its product
+    is below T R^ for R^ = max |y_i| in the box.  So the sum is refused,
+    with a ValueError naming the int64 guard and before any 2-D array is
+    allocated, unless T R^ < 2^63.
     """
-    B = _check_overlap_matrix(B)
-    if N <= 0 or N % 2 != 0:
-        raise ValueError("torus_autocorrelation requires even N > 0")
-    A = B.power(abs(t)).entries
+    what = "torus_autocorrelation at t = %d, N = %d" % (t, N)
     tr = A[0][0] + A[1][1]
     a = math.pi * N / tr
     amp = math.sqrt(2.0 / tr)
@@ -306,20 +338,26 @@ def torus_autocorrelation(B, t, N):
     nt = -N * (w11 * w21 + w12 * w22) % T
     nd = N * (w21 * w21 + w22 * w22 - w11 * w11 - w12 * w12) % T
 
-    def cis(x):  # e^{i pi x / tr} for an array x of Python integers
-        return np.exp(1j * np.pi * (x % T).astype(float) / tr)
+    def cis(x):  # e^{i pi x / tr} for int64 residues 0 <= x < T
+        return np.exp(1j * np.pi * x.astype(float) / tr)
 
     def term(y1, y2):
-        # N <S R y, y> = N (tau (y2^2 - y1^2) + (s1 - s2) y1 y2) mod T;
-        # only the cross term is a 2-D array of Python integers
-        o1, o2 = y1.astype(object), y2.astype(object)
-        return (amp * np.exp(-a * y1 * y1) * cis(-nt * o1 * o1)
-                * (np.exp(-a * y2 * y2) * cis(nt * o2 * o2))
-                * cis(nd * o1 % T * o2))
+        # N <S R y, y> = N (tau (y2^2 - y1^2) + (s1 - s2) y1 y2) mod T.
+        # The box is symmetric about y = 0, and y1 is the axis y2 as a column.
+        rmax = int(y2[-1])
+        if T * rmax >= 2 ** 63:
+            raise ValueError("%s: 2 Tr A R^ = %d is beyond the int64 "
+                             "guard 2^63" % (what, T * rmax))
+        r = np.array([(-nt * v * v % T, nt * v * v % T, nd * v % T)
+                      for v in y2.tolist()], dtype=np.int64)
+        cross = r[:, 2:] * y2
+        if rmax:  # at R^ = 0 the box is y = 0, and T may exceed int64
+            cross %= T
+        g = np.exp(-a * y2 * y2)
+        e = cis(r[:, :2])
+        return (amp * g[:, None] * e[:, :1] * (g * e[:, 1]) * cis(cross))
 
-    terms, _, R, bound = _box_sum(
-        a, amp, (0.0, 0.0), term,
-        "torus_autocorrelation at t = %d, N = %d" % (t, N))
+    terms, _, R, bound = _box_sum(a, amp, (0.0, 0.0), term, what)
     value = complex(terms.sum())
     if t < 0:
         value = value.conjugate()
@@ -419,7 +457,7 @@ def _half_period_map(B, N, P):
     Raises AssertionError, naming M^P G_N, unless P is even and B^{P/2}
     is diagonal mod N.
     """
-    ((a, b), (c, d)) = B.power(P // 2).entries
+    ((a, b), (c, d)) = _powers(B, P // 2)[-1]
     if P % 2 or b % N or c % N:
         raise AssertionError("M^P G_N: P = %d is odd or B^{P/2} is not "
                              "diagonal mod N" % P)
@@ -435,23 +473,27 @@ def _half_period_map(B, N, P):
 
 def _lattice_gram(B, N, P):
     """
-    (theta, phi, D_0) for the scar of B at N and P from the exact
-    A(q) = torus_autocorrelation(B, q, N).value = vdot(G_N, M^q G_N),
-    q = 0..P/2, and the half-period map T, M^{P/2} = theta T:
-    theta = A(P/2) / vdot(G_N, T G_N) and, as M^P = theta^2 T^2,
-    e^{i phi} = theta^2 vdot(G_N, T^2 G_N) / A(0).  For the rows of
-    ScarEnsemble.V, D_0[i, i'] = vdot(V[i'], V[i]) is f((i - i') mod P),
+    (theta, phi, D_0, (G_N, src, weight)) for the scar of B at N and P
+    from the exact A(q) = torus_autocorrelation(B, q, N).value =
+    vdot(G_N, M^q G_N), q = 0..P/2, and the half-period map T,
+    M^{P/2} = theta T, held as the gather (src, weight) of
+    _half_period_map: theta = A(P/2) / vdot(G_N, T G_N) and, as
+    M^P = theta^2 T^2, e^{i phi} = theta^2 vdot(G_N, T^2 G_N) / A(0).
+    The powers B^q are one sequence of Python-integer products (_powers),
+    each summed by _autocorrelation.  For the rows of ScarEnsemble.V,
+    D_0[i, i'] = vdot(V[i'], V[i]) is f((i - i') mod P),
     f(q) = e^{-i phi q / P} vdot(G_N, M^q G_N): M^P G_N = e^{i phi} G_N
     makes f P-periodic, and f(-q) = conj f(q), so f(q) = conj f(P - q)
     for q > P/2.  Raises AssertionError, naming M^P G_N, unless |theta|
     and |vdot(G_N, T^2 G_N)| / A(0) are 1 within PERIOD_PHASE_TOL; by
     Cauchy-Schwarz the second holds iff M^P G_N is a unit multiple of G_N.
     """
+    B = _check_torus(B, N)
     src, weight = _half_period_map(B, N, P)
     G = hilbert.project_gaussian(StateSpace(1, N)).coeffs
     TG = weight * G[src]
-    A = np.array([torus_autocorrelation(B, q, N).value
-                  for q in range(P // 2 + 1)])
+    A = np.array([_autocorrelation(Aq, q, N).value
+                  for q, Aq in enumerate(_powers(B, P // 2))])
     theta = A[-1] / np.vdot(G, TG)
     ratio = np.vdot(G, weight * TG[src]) / A[0]
     if max(abs(abs(theta) - 1), abs(abs(ratio) - 1)) > PERIOD_PHASE_TOL:
@@ -464,7 +506,7 @@ def _lattice_gram(B, N, P):
     f[:len(A)] = A * np.exp(-1j * phi * np.arange(len(A)) / P)
     f[len(A):] = f[P - len(A):0:-1].conj()
     i = np.arange(P)
-    return theta, phi, f[(i[:, None] - i) % P]
+    return theta, phi, f[(i[:, None] - i) % P], (G, src, weight)
 
 
 class ScarEnsemble:
@@ -472,16 +514,17 @@ class ScarEnsemble:
     Factored u = P^{-1/2} sum_t v_t (x) w_t for B, even N and the period
     P = ord(B mod N): B, N, P, lambda, theta and phi (from _lattice_gram,
     with the Gram D_0 that the norm reads), and, built on first use, the
-    propagator M and the orbit V.  build_scar validates the arguments
-    first.  An even N other than N_k can be refused: a lattice sum up to
-    q = P/2 can exceed TORUS_SUM_LIMIT (ValueError; B = [[2, 1], [1, 1]]
-    at N = 10).
+    propagator M and the orbit V.  G_N and the half-period map T, which
+    _lattice_gram computes, are held for V and dropped once it is built.
+    build_scar validates the arguments first.  An even N other than N_k
+    can be refused: a lattice sum up to q = P/2 can exceed
+    TORUS_SUM_LIMIT (ValueError; B = [[2, 1], [1, 1]] at N = 10).
     """
 
     def __init__(self, B, N, P):
         self.B, self.N, self.P = B, N, P
         self.lam = leading_eigenvalue(B)
-        self.theta, self.phi, D0 = _lattice_gram(B, N, P)
+        self.theta, self.phi, D0, self._orbit_seed = _lattice_gram(B, N, P)
         # w_{i - P/2} = v at index (i + P/2) mod P, which is also the time
         # s of the orbit state in row i of V
         self.wperm = (np.arange(P) + P // 2) % P
@@ -500,19 +543,19 @@ class ScarEnsemble:
         M is applied P/2 + 1 times; the half step is held to theta T G_N and
         the closing step to e^{i phi} G_N within PERIOD_PHASE_TOL
         (AssertionError naming M^P G_N).  g_s = theta T g_{s - P/2} for
-        s > P/2 is one gather and multiply.
+        s > P/2 is one gather and multiply.  G_N and T are the ones
+        _lattice_gram computed; the ensemble drops them once V is built.
         """
         N, P, h = self.N, self.P, self.P // 2
+        G, src, weight = self._orbit_seed
         V = np.empty((P, N), dtype=np.complex128)
-        G = hilbert.project_gaussian(self.M.space).coeffs
         V[h] = G
         for s in range(1, h):
             V[h + s] = self.M.apply_array(V[h + s - 1])
         # np.take in "clip" mode writes straight into the row; the default
         # mode would buffer a copy.
         half = self.M.apply_array(V[2 * h - 1])  # M g_{P/2 - 1}
-        src, weight = _half_period_map(self.B, N, P)
-        weight *= self.theta
+        weight = weight * self.theta
         np.take(G, src, out=V[0], mode="clip")
         V[0] *= weight
         half -= V[0]
@@ -530,6 +573,7 @@ class ScarEnsemble:
             raise AssertionError("M^P G_N is not e^{i phi} G_N (defect %.3e)"
                                  % defect)
         V *= np.exp(-1j * self.phi * self.wperm / P)[:, None]
+        del self._orbit_seed
         return V
 
     def materialize(self):

@@ -180,6 +180,16 @@ def quantum_period(A, N):
     """
     Least k >= 1 with A^k = I mod N, by iterated modular multiplication.
     Requires a hyperbolic input (|trace| > 2 for n = 1).
+
+    This is the period of A on (Z/N)^{2n}, which need not be a period of
+    the quantized map M: exact Egorov, U_m M = M U_{A^-1 m}, holds for m
+    mod 2N, so when A^k = I mod N but not mod 2N, M^k need not commute
+    with every U_m.  For [[5, 2], [2, 1]] at N = 144 this returns 24,
+    with A^24 = [[1 + N, N], [N, 1 + N]] mod 2N, and period_phase refuses
+    24 but accepts 48.  At even N, A^{2k} = I mod 2N, so M^{2k} commutes
+    with every U_m and 2k is always a period of M.  The value is kept: it
+    is the P of the `periods` artifacts and of build_scar, whose scars
+    check on G_N the period they use.
     """
     if A.n == 1 and abs(A.trace()) <= 2:
         raise ValueError("quantum period requires a hyperbolic matrix")

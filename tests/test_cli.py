@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import catlab
-from catlab.cli import main, parse_matrix, write_pgm
+from catlab.cli import _fmt, main, parse_matrix, write_csv, write_pgm
 
 CAT = "2,1;1,1"
 BLOCK = "0,0,2,1;0,0,1,1;-2,-1,0,0;-1,-1,0,0"
@@ -24,6 +24,25 @@ def test_parse_matrix():
     assert parse_matrix("2,1;1,1") == [[2, 1], [1, 1]]
     assert parse_matrix("1,0,0;0,1,0;0,0,1") == [[1, 0, 0], [0, 1, 0],
                                                  [0, 0, 1]]
+
+
+def test_write_csv_templates_match_fmt(tmp_path):
+    # Each row goes through one % template per tuple of value types; the
+    # bytes are those of ",".join(map(_fmt, row)) for every type _fmt
+    # meets: bool, int, float, numpy scalars, complex and str.
+    rng = np.random.default_rng(3)
+    floats = [0.0, -0.0, 1e16, 1e17, 0.1, 1 / 3, 5e-324, -2.5e-300,
+              1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    floats += (rng.standard_normal(200) * 10.0 ** rng.integers(
+        -300, 300, 200)).tolist()
+    rows = [(x, np.float64(-x), i, True, "a%sb") for i, x in enumerate(floats)]
+    rows += [(np.int64(-7), np.int32(3), np.uint8(200), np.bool_(False),
+              np.float32(0.1), np.float16(2.5), 10 ** 30, False, ""),
+             (complex(1, -0.0), complex(-0.0, 0.0), complex(math.nan, 1),
+              np.complex128(3 - 4j), np.complex64(1 + 2j), 7, 0.5), ()]
+    write_csv(tmp_path / "t.csv", ["x", "y"], rows)
+    want = "\n".join(["x,y"] + [",".join(map(_fmt, r)) for r in rows])
+    assert (tmp_path / "t.csv").read_text() == want + "\n"
 
 
 def test_check_matrix(tmp_path):

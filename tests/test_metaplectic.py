@@ -8,7 +8,8 @@ from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
                     metaplectic_adjoint, metaplectic_sl2, period_phase,
                     rotation_propagator, tensor_propagator, weyl_quantize)
 from catlab.hilbert import LatticeTranslation, StateSpace
-from catlab.metaplectic import Propagator, _parity_split, rotation_classical
+from catlab.metaplectic import (Propagator, _chirp, _parity_split,
+                                rotation_classical)
 from catlab.symplectic import quantum_period
 
 CAT = SymplecticMatrix([[2, 1], [1, 1]])
@@ -56,6 +57,26 @@ def test_batched_apply_equals_stacked_single_applies():
         single = np.array([[apply_array(x) for x in row] for row in X])
         assert np.array_equal(apply_array(X[0]), single[0]), name
         assert np.array_equal(apply_array(X), single), name
+
+
+def test_chirp_is_np_exp_bit_for_bit():
+    # The mirrored cos/sin chirp against np.exp(1j pi r / L) at every
+    # length n <= L that straddles the mirror point L/2, for the Gauss-sum
+    # widths b = 1, 2, 3, both signs of c and c beyond 2L.
+    for N in (2, 34, 144, 610):
+        for b in (1, 2, 3):
+            L = N * b
+            for c in (1, 2, 3, 5, 12, 29, -7, 2 * L + 3):
+                for n in {1, N, L // 2, L // 2 + 1, min(L // 2 + 2, L),
+                          L - 1, L}:
+                    k = np.arange(n)
+                    r = k * k % (2 * L) * (c % (2 * L)) % (2 * L)
+                    want = np.exp(1j * np.pi * r / L)
+                    got = _chirp(c, n, L)
+                    for x, y in [(got.real, want.real),
+                                 (got.imag, want.imag)]:
+                        assert np.array_equal(x, y), (N, b, c, n)
+                        assert np.array_equal(np.signbit(x), np.signbit(y))
 
 
 def test_dense_equals_column_by_column_build():
@@ -315,6 +336,21 @@ def test_period_phase_dense(prop144):
 def test_period_phase_wrong_period_raises(prop144):
     with pytest.raises(AssertionError):
         period_phase(prop144, 5)
+
+
+def test_quantum_period_need_not_be_a_period_of_m():
+    # ord(B mod N) = 24 for B = [[5, 2], [2, 1]] at N = 144, but
+    # B^24 = [[1 + N, N], [N, 1 + N]] mod 2N: M^24 is no multiple of the
+    # identity, while B^48 = I mod 2N and M^48 is.
+    B = SymplecticMatrix(SL2_BY_B[1])
+    N = 144
+    assert quantum_period(B, N) == 24
+    assert [[v % (2 * N) for v in row] for row in B.power(24).entries] \
+        == [[1 + N, N], [N, 1 + N]]
+    M = metaplectic_sl2(StateSpace(1, N), B)
+    with pytest.raises(AssertionError, match="not proportional"):
+        period_phase(M, 24)
+    assert period_phase(M, 48).defect <= 1e-12
 
 
 def test_oracles_refuse_degenerate_arguments(prop144):

@@ -1,6 +1,10 @@
 import importlib.util
 import os
 import shlex
+import subprocess
+import sys
+
+import catlab
 
 from catlab.cli import main
 
@@ -54,3 +58,27 @@ def test_readme_examples_are_byte_identical_across_runs(tmp_path):
     for name in ARTIFACTS:
         assert ((runs[0] / name).read_bytes()
                 == (runs[1] / name).read_bytes()), name
+
+
+def test_scar_examples_are_byte_identical_across_blas_threads(tmp_path):
+    # The README's scar examples, each in a fresh `python -m catlab.cli`
+    # process, once with every BLAS and OpenMP pool at one thread and
+    # once at two: the artifacts must not depend on the thread count.
+    lines = [line for line in _example_lines()
+             if line.startswith("catlab scar-")]
+    assert len(lines) == 3
+    src = os.path.dirname(os.path.dirname(catlab.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        for line in lines:
+            subprocess.run([sys.executable, "-m", "catlab.cli"]
+                           + shlex.split(line)[1:] + ["--out", str(out)],
+                           env=env, check=True)
+        runs.append({name: (out / name).read_bytes()
+                     for name in sorted(os.listdir(out))})
+    assert sorted(runs[0]) == ["scar-build-0.json", "scar-density-0.csv",
+                               "scar-density-0.pgm", "scar-scan-0.csv"]
+    assert runs[0] == runs[1]

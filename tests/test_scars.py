@@ -386,6 +386,74 @@ def test_torus_sums_refuse_before_allocating():
         assert peak < 1_000_000
 
 
+def _object_array_autocorrelation(B, t, N):
+    """
+    (value, radius, tail bound) of the box sum with every phase residue
+    in numpy object arrays of Python integers, the form the int64 kernel
+    replaced: the same box, terms and operation order.
+    """
+    A = B.power(abs(t)).entries
+    tr = A[0][0] + A[1][1]
+    a = math.pi * N / tr
+    amp = math.sqrt(2.0 / tr)
+    T = 2 * tr
+    (w11, w12), (w21, w22) = _reduce(A)
+    nt = -N * (w11 * w21 + w12 * w22) % T
+    nd = N * (w21 * w21 + w22 * w22 - w11 * w11 - w12 * w12) % T
+
+    def cis(x):
+        return np.exp(1j * np.pi * (x % T).astype(float) / tr)
+
+    def term(y1, y2):
+        o1, o2 = y1.astype(object), y2.astype(object)
+        return (amp * np.exp(-a * y1 * y1) * cis(-nt * o1 * o1)
+                * (np.exp(-a * y2 * y2) * cis(nt * o2 * o2))
+                * cis(nd * o1 % T * o2))
+
+    terms, _, R, bound = catlab.scars._box_sum(a, amp, (0.0, 0.0), term, "")
+    value = complex(terms.sum())
+    return value.conjugate() if t < 0 else value, R * R, bound
+
+
+def _same_bits(x, y):
+    """x == y for real or complex arrays, signs of zeros included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return all(np.array_equal(u, v) and np.array_equal(np.signbit(u),
+                                                       np.signbit(v))
+               for u, v in [(x.real, y.real), (x.imag, y.imag)])
+
+
+def test_torus_autocorrelation_is_the_object_array_sum_bit_for_bit():
+    # (10^14, 40) puts 2 Tr A R^ at 0.988 * 2^63, next to the int64 guard;
+    # at (10^40, 50) 2 Tr A exceeds 2^63 and the box is y = 0 alone.
+    N24 = admissible_N(B_CAT, 24).value
+    N30 = admissible_N(B_CAT, 30).value
+    cases = ([(34, t) for t in range(14)]
+             + [(144, 3), (144, -3), (610, -5), (10 ** 6, 16),
+                (10 ** 6, 18), (10 ** 9, 22), (N24, 24), (N30, 30),
+                (10 ** 24, 41), (10 ** 14, 40), (10 ** 40, 50)])
+    for N, t in cases:
+        got = torus_autocorrelation(B_CAT, t, N)
+        value, radius, bound = _object_array_autocorrelation(B_CAT, t, N)
+        assert _same_bits(got.value, value), (N, t)
+        assert (got.radius, got.tail_bound) == (radius, bound), (N, t)
+
+
+def test_torus_autocorrelation_int64_guard_refuses_before_allocating():
+    # At (5 10^13, 40) the box is 251^2 points, within TORUS_SUM_LIMIT,
+    # but 2 Tr A R^ = 1.42 * 2^63: the cross residues could wrap in int64.
+    # A 2-D complex array of the box alone would be 1.0 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="t = 40, N = 50000000000000: "
+                           ".* int64 guard"):
+            torus_autocorrelation(B_CAT, 40, 5 * 10 ** 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_reduce_brings_powers_to_the_identity():
     for B in (B_CAT, SymplecticMatrix([[2, 3], [3, 5]]),
               SymplecticMatrix([[5, 2], [2, 1]])):
@@ -689,6 +757,54 @@ def test_lattice_gram_folds_past_half_period(B):
         if q > P // 2:
             want = np.vdot(G, g) * np.exp(-1j * scar.phi * q / P)
             assert abs(D0[q, 0] - want) <= 1e-12, q
+
+
+def _reference_lattice_gram(B, N, P):
+    """theta, phi and D_0 from object-array sums over B.power(q)."""
+    src, weight = _half_period_map(B, N, P)
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    TG = weight * G[src]
+    A = np.array([_object_array_autocorrelation(B, q, N)[0]
+                  for q in range(P // 2 + 1)])
+    theta = A[-1] / np.vdot(G, TG)
+    ratio = np.vdot(G, weight * TG[src]) / A[0]
+    theta /= abs(theta)
+    phi = float(np.angle(theta * theta * ratio))
+    f = np.empty(P, dtype=np.complex128)
+    f[:len(A)] = A * np.exp(-1j * phi * np.arange(len(A)) / P)
+    f[len(A):] = f[P - len(A):0:-1].conj()
+    i = np.arange(P)
+    return theta, phi, f[(i[:, None] - i) % P]
+
+
+def _reference_orbit(scar):
+    """V from a fresh G_N and T, as before they were handed over."""
+    N, P, h = scar.N, scar.P, scar.P // 2
+    V = np.empty((P, N), dtype=np.complex128)
+    G = project_gaussian(StateSpace(1, N)).coeffs
+    V[h] = G
+    for s in range(1, h):
+        V[h + s] = scar.M.apply_array(V[h + s - 1])
+    src, weight = _half_period_map(scar.B, N, P)
+    weight *= scar.theta
+    V[0] = G[src] * weight
+    for i in range(1, h):
+        V[i] = V[h + i][src] * weight
+    V *= np.exp(-1j * scar.phi * scar.wperm / P)[:, None]
+    return V
+
+
+@pytest.mark.parametrize("B,k", KERNEL_CASES, ids=KERNEL_IDS)
+def test_scar_setup_is_the_reference_bit_for_bit(B, k):
+    # theta, phi and D_0 against per-q object-array sums, and V against
+    # the orbit from a fresh G_N and T; M's chirps are gated against
+    # np.exp in test_metaplectic.
+    scar = build_scar(B, k)
+    theta, phi, D0 = _reference_lattice_gram(scar.B, scar.N, scar.P)
+    assert _same_bits(scar.theta, theta) and phi == scar.phi
+    assert _same_bits(scar._dmats_of([(0, 0)])[0], D0)
+    assert _same_bits(scar.V, _reference_orbit(scar))
+    assert not hasattr(scar, "_orbit_seed")  # dropped with the orbit built
 
 
 @pytest.mark.parametrize("k", [6, 12])
