@@ -5,11 +5,9 @@ certification of symplectic matrices, and uncertainty-principle numerics.
 """
 
 from .symplectic import (SymplecticMatrix, CharPoly, is_symplectic,
-                         char_poly, phi_A, quantization_admissible,
-                         quantum_period, admissible_N)
+                         char_poly, phi_A, quantum_period, admissible_N)
 from .hilbert import (StateSpace, QuantumState, TrigObservable,
-                      weyl_quantize, project_gaussian, tensor,
-                      position_density)
+                      weyl_quantize, project_gaussian, position_density)
 from .metaplectic import (Propagator, PeriodPhase, metaplectic_sl2,
                           metaplectic_adjoint,
                           rotation_propagator, tensor_propagator,

@@ -273,11 +273,6 @@ class ScalingRun:
     theory_slope: float
 
 
-def _check_sizes(hs):
-    if len(set(hs)) < 4:
-        raise ValueError("regression needs at least 4 distinct sizes")
-
-
 def _fit_slope(hs, norms):
     return float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
 
@@ -310,25 +305,23 @@ def basic_uncertainty_norm(M, delta):
     return _dft_norm(k[rows], k[cols], cx[rows], cxi[cols], M)
 
 
-def scaling_experiment(kind, delta=None, sizes=None, depths=None):
+def scaling_experiment(kind, delta=None, depths=None):
     """
     kind="basic": norms of the bump operator across M in 2^8..2^14,
-    fitted slope vs the theory slope (2 delta - 1) / 2 of dimension d = 1.
+    fitted slope vs the theory slope (2 delta - 1) / 2 of dimension d = 1;
+    at every delta in [1/2, 1) their submatrices are far below the
+    FUP_MAX_BYTES that basic_uncertainty_norm checks.
     kind="fup": Cantor-pair DFT submatrix norms across depths, fitted
-    decay exponent beta (theory slope unknown; reported as nan).
-    Both refuse before their first SVD: fewer than 4 distinct sizes, for
-    "basic" an M whose submatrix would exceed FUP_MAX_BYTES, and for
-    "fup" a negative depth or one whose digit test or 2^r x 2^r
-    submatrix would.
+    decay exponent beta (theory slope unknown; reported as nan).  It
+    refuses before its first SVD: fewer than 4 distinct depths, a
+    negative depth, or one whose digit test or 2^r x 2^r submatrix would
+    exceed FUP_MAX_BYTES.
     """
     if kind == "basic":
         if not 0.5 <= delta < 1:
             raise ValueError("delta must lie in [1/2, 1)")
-        sizes = sizes or [2 ** e for e in range(8, 15)]
+        sizes = [2 ** e for e in range(8, 15)]
         hs = [1.0 / M for M in sizes]
-        _check_sizes(hs)
-        for M in sizes:
-            _basic_window(M, delta)
         norms = [basic_uncertainty_norm(M, delta) for M in sizes]
         return ScalingRun(kind, tuple(sizes), tuple(hs), tuple(norms),
                           _fit_slope(hs, norms), (2 * delta - 1) / 2)
@@ -339,7 +332,8 @@ def scaling_experiment(kind, delta=None, sizes=None, depths=None):
             _check_submatrix(2 ** r, 2 ** r, 3 ** r)
         sizes = [3 ** r for r in depths]
         hs = [1.0 / M for M in sizes]
-        _check_sizes(hs)
+        if len(set(hs)) < 4:
+            raise ValueError("regression needs at least 4 distinct sizes")
         norms = []
         for r in depths:
             X = cantor_set(r)

@@ -84,7 +84,9 @@ class LatticeTranslation:
     Satisfies the group law U_w U_w' = exp(i sigma(w, w')/2h) U_{w+w'}
     and the commutator relation with phase exp(i sigma(w, w')/h).
     U_m depends only on m mod 2N, so each entry is reduced to its
-    residue in (-N, N] before the phase is formed in floats.
+    residue in (-N, N] before the phase is formed in floats.  U is held
+    as one monomial over the raveled index: the outer sum of the
+    per-factor sources and the outer product of the per-factor phases.
     """
 
     def __init__(self, space, m):
@@ -93,45 +95,30 @@ class LatticeTranslation:
         if len(m) != 2 * space.n:
             raise ValueError("lattice vector must have length 2n")
         self.space = space
-        self.m = m
-        self._phases = []
-        self._shifts = []
-        for i in range(space.n):
-            p, q = m[2 * i], m[2 * i + 1]
+        j = np.arange(N)
+        src = np.zeros(1, dtype=np.intp)
+        phase = np.ones(1, dtype=np.complex128)
+        for p, q in zip(m[0::2], m[1::2]):
             # the phase pi (2 q j - p q) / N, reduced mod 2 pi in integers
-            j = np.arange(N)
             ph = np.exp(1j * np.pi * ((2 * q * j - p * q) % (2 * N)) / N)
-            self._phases.append(ph)
-            self._shifts.append(p)
+            src = np.add.outer(N * src, (j - p) % N).ravel()
+            phase = np.multiply.outer(phase, ph).ravel()
+        self._src, self._phase = src, phase
 
     def apply_array(self, c):
         """
         Apply to raveled coefficients of shape (..., N^n), any complex
         dtype; leading axes are a batch.
         """
-        N, n = self.space.N, self.space.n
-        c = np.asarray(c, dtype=np.complex128)
-        batch = c.shape[:-1]
-        c = c.reshape(batch + (N,) * n)
-        for axis in range(n):
-            c = np.roll(c, self._shifts[axis], axis=len(batch) + axis)
-            shape = [1] * n
-            shape[axis] = N
-            c = c * self._phases[axis].reshape(shape)
-        return c.reshape(batch + (N ** n,))
+        return np.asarray(c, dtype=np.complex128)[..., self._src] * self._phase
 
     def monomial(self):
         """
         U as a monomial matrix: (src, phase) with (U c)[i] = phase[i]
         c[src[i]] over the raveled index i, so U[i, src[i]] = phase[i].
+        The arrays are the ones U holds; callers must not write to them.
         """
-        N = self.space.N
-        src = np.zeros(1, dtype=np.intp)
-        phase = np.ones(1, dtype=np.complex128)
-        for p, ph in zip(self._shifts, self._phases):
-            src = np.add.outer(N * src, (np.arange(N) - p) % N)
-            phase = np.multiply.outer(phase, ph)
-        return src.ravel(), phase.ravel()
+        return self._src, self._phase
 
     def dense(self):
         return _dense_matrix(self.apply_array, self.space.dim, "translation")
@@ -219,14 +206,6 @@ def project_gaussian(space):
         k += 1
     coeffs = (math.pi * h) ** (-0.25) * total / math.sqrt(N)
     return QuantumState(space, coeffs)
-
-
-def tensor(u, v):
-    """Tensor product state; index (j1, j2) row-major."""
-    if u.space.N != v.space.N:
-        raise ValueError("tensor requires matching N")
-    space = StateSpace(u.space.n + v.space.n, u.space.N)
-    return QuantumState(space, np.outer(u.coeffs, v.coeffs).ravel())
 
 
 def position_density(u, center=False):

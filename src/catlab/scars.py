@@ -57,9 +57,13 @@ def S1(lam):
 
 
 def _check_overlap_matrix(B):
-    """B, if b = c > 0 and a + d > 2; then a d = 1 + b^2 makes a, d > 0."""
+    """B, if 2 x 2 with b = c > 0 and a + d > 2; then a d = 1 + b^2
+    makes a, d > 0."""
     if not isinstance(B, SymplecticMatrix):
         B = SymplecticMatrix(B)
+    if B.n != 1:
+        raise ValueError("the matrix must be 2 x 2, not %d x %d"
+                         % (2 * B.n, 2 * B.n))
     ((a, b), (c, d)) = B.entries
     if b != c or b <= 0:
         raise ValueError("the matrix must be symmetric with b = c > 0")
@@ -367,6 +371,9 @@ def _autocorrelation(A, t, N):
 # Largest P x N complex orbit array build_scar admits; it refuses before
 # any array of length N is allocated.
 SCAR_MAX_BYTES = 2 * 2 ** 30
+# Peak RSS growth per row of a `scar-scan` run, the rows with their CSV
+# tuples and text: 678-709 bytes measured at CAT k = 6, windows 6-12.
+_SCAN_ROW_BYTES = 700
 # Largest N^2 a scar materializes as a dense tensor state.
 MATERIALIZE_LIMIT = 16_000_000
 
@@ -708,10 +715,19 @@ def semiclassical_scan(scar, window):
     Rows (j1, j2, k1, k2, ratio, target, error) over all lattice pairs
     with |j|_inf, |k|_inf <= window; ratio = matrix_element / ||u||^2,
     all (2 window + 1)^4 of them from one product of the stacked D_j with
-    the stacked D_k in wperm order.  Raises ValueError for window < 0.
+    the stacked D_k in wperm order.  Raises ValueError for window < 0,
+    and before any Gram is built when the rows at _SCAN_ROW_BYTES each,
+    plus the D_j and D_k (stacked and cached, four P x P per lattice
+    point), would exceed SCAR_MAX_BYTES.
     """
     if window < 0:
         raise ValueError("semiclassical_scan needs window >= 0")
+    points = (2 * window + 1) ** 2
+    need = points ** 2 * _SCAN_ROW_BYTES + 4 * points * 16 * scar.P ** 2
+    if need > SCAR_MAX_BYTES:
+        raise ValueError("a window-%d scan of %d rows needs about %d bytes, "
+                         "above SCAR_MAX_BYTES = %d"
+                         % (window, points ** 2, need, SCAR_MAX_BYTES))
     lattice = list(itertools.product(range(-window, window + 1), repeat=2))
     Dj = np.array(scar._dmats_of(lattice))  # the whole window in one pass
     Dk = np.array([scar._wdmat(k) for k in lattice])

@@ -9,7 +9,6 @@ Q(w) = sum_i y_i eta_i.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 import math
 
@@ -146,30 +145,6 @@ def phi_A(A):
         raise AssertionError(
             "parity vector not unique; input is not a valid symplectic matrix")
     return solutions[0]
-
-
-def quantization_admissible(A, N, theta=None):
-    """
-    True iff (I - A) theta = N phi_A / 2 mod Z^{2n}, in exact rational
-    arithmetic.  theta defaults to 0; entries must be rational.
-    """
-    n = A.n
-    if theta is None:
-        theta = (0,) * (2 * n)
-    th = []
-    for t in theta:
-        if isinstance(t, float):
-            raise ValueError("irrational/float theta unsupported; pass Fractions")
-        th.append(Fraction(t))
-    phi = phi_A(A)
-    Aarr = A.array()
-    for i in range(2 * n):
-        lhs = th[i] - sum(Fraction(int(Aarr[i, j])) * th[j]
-                          for j in range(2 * n))
-        rhs = Fraction(N * phi[i], 2)
-        if (lhs - rhs).denominator != 1:
-            return False
-    return True
 
 
 # quantum_period gives up after PERIOD_CAP_FACTOR * N multiplications.

@@ -51,7 +51,7 @@ def test_03_period_law(prop144):
     periods_ok = all(
         quantum_period(B_CAT, admissible_N(B_CAT, k).value) == 2 * k
         for k in (2, 4, 6, 8, 10, 12))
-    pp = period_phase(prop144, 12, tol=1e-8)
+    pp = period_phase(prop144, 12)
     ok = periods_ok and pp.defect < 1e-8
     report(3, "period-law", ok,
            "periods_ok=%s phase_defect=%.3e" % (periods_ok, pp.defect))

@@ -365,6 +365,22 @@ def test_bad_arguments_exit_two(tmp_path, capsys, argv):
     assert json.loads(capsys.readouterr().err) == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["scar-build", "--k", "6"],
+    ["scar-scan", "--k", "6"],
+    ["scar-density", "--k", "6"],
+    ["overlap-test", "--count", "2"],
+    ["lattice-sum", "--q", "2", "--N", "144"],
+])
+def test_four_by_four_matrix_is_refused_as_not_two_by_two(tmp_path, capsys,
+                                                          argv):
+    assert main(argv + ["--matrix", BLOCK, "--out", str(tmp_path)]) == 2
+    out = read_json(tmp_path / ("%s-0.json" % argv[0]))
+    assert out == {"error": "the matrix must be 2 x 2, not 4 x 4",
+                   "kind": "precondition"}
+    assert json.loads(capsys.readouterr().err) == out
+
+
 @pytest.mark.parametrize("argv,message", DEGENERATE_GALOIS)
 def test_degenerate_galois_arguments_name_the_argument(tmp_path, capsys,
                                                        argv, message):

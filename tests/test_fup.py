@@ -303,25 +303,12 @@ def test_fup_scaling_beta_positive_and_stable():
 
 def test_basic_scaling_matches_theory():
     for delta, tol in [(0.6, 0.03), (0.75, 0.03)]:
-        run = scaling_experiment("basic", delta=delta,
-                                 sizes=[2 ** e for e in range(8, 13)])
+        run = scaling_experiment("basic", delta=delta)
         assert abs(run.fitted_slope - run.theory_slope) < tol
     with pytest.raises(ValueError):
         scaling_experiment("basic", delta=0.4)
     with pytest.raises(ValueError):
         scaling_experiment("nope")
-
-
-def test_basic_scaling_sizes_every_M_before_any_norm(monkeypatch):
-    # the last size refuses before the first four are computed
-    calls = []
-    dft_norm = fup._dft_norm
-    monkeypatch.setattr(fup, "_dft_norm",
-                        lambda *a: calls.append(a) or dft_norm(*a))
-    with pytest.raises(ValueError, match="FUP_MAX_BYTES"):
-        scaling_experiment("basic", delta=0.5,
-                           sizes=[2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 40])
-    assert calls == []
 
 
 def _complex_norm(rows, cols, wr, wc, M):

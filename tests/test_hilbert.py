@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catlab import (TrigObservable, position_density, project_gaussian,
-                    tensor, weyl_quantize)
-from catlab.hilbert import LatticeTranslation, QuantumState, StateSpace
+                    weyl_quantize)
+from catlab.hilbert import (LatticeTranslation, QuantumState, StateSpace,
+                            _lattice_residue)
 from catlab.symplectic import _sigma
 
 SP = StateSpace(1, 34)
@@ -17,6 +18,47 @@ def basis_state(space, index):
     c = np.zeros(space.dim, dtype=np.complex128)
     c[int(np.ravel_multi_index(tuple(index), (space.N,) * space.n))] = 1.0
     return QuantumState(space, c)
+
+
+def tensor(u, v):
+    """Tensor product state; index (j1, j2) row-major."""
+    space = StateSpace(u.space.n + v.space.n, u.space.N)
+    return QuantumState(space, np.outer(u.coeffs, v.coeffs).ravel())
+
+
+def rolled_translation(space, m, c):
+    """U_{m/N} c per tensor axis: a roll by p, then that axis's phases."""
+    N, n = space.N, space.n
+    m = _lattice_residue(m, N)
+    batch = c.shape[:-1]
+    c = c.reshape(batch + (N,) * n)
+    j = np.arange(N)
+    for axis in range(n):
+        p, q = m[2 * axis], m[2 * axis + 1]
+        ph = np.exp(1j * np.pi * ((2 * q * j - p * q) % (2 * N)) / N)
+        shape = [1] * n
+        shape[axis] = N
+        c = np.roll(c, p, axis=len(batch) + axis) * ph.reshape(shape)
+    return c.reshape(batch + (N ** n,))
+
+
+@pytest.mark.parametrize("n,N", [(1, 34), (1, 144), (2, 10), (2, 34)])
+def test_translation_monomial_matches_rolled_apply(n, N):
+    # bit for bit at n = 1; at n = 2 the monomial multiplies by the
+    # product of the two axes' phases, the roll by each in turn, so the
+    # two agree to rounding relative to the largest entry
+    space = StateSpace(n, N)
+    rng = np.random.default_rng(N + n)
+    c = (rng.standard_normal((3, space.dim))
+         + 1j * rng.standard_normal((3, space.dim)))
+    for _ in range(20):
+        m = tuple(int(v) for v in rng.integers(-3 * N + 1, 3 * N, 2 * n))
+        got = LatticeTranslation(space, m).apply_array(c)
+        want = rolled_translation(space, m, c)
+        if n == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
 
 
 def test_translation_zero_is_identity():

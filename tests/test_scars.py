@@ -878,6 +878,26 @@ def test_measure_target_table():
     assert measure_target((1, 0), (0, 2)) == 0.0
 
 
+def test_semiclassical_scan_refuses_before_any_gram(scar6, monkeypatch):
+    # window 40 is 81^4 = 43M rows, tens of GB; window 20 is 41^4 = 2.8M
+    def unreachable(*a):
+        raise AssertionError("a Gram was about to be built")
+    monkeypatch.setattr(catlab.scars, "_translation_grams", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="window-40 scan of 43046721 "
+                           "rows .* SCAR_MAX_BYTES"):
+            semiclassical_scan(scar6, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    with pytest.raises(ValueError, match="window-21"):
+        semiclassical_scan(scar6, 21)
+    with pytest.raises(AssertionError, match="Gram"):
+        semiclassical_scan(scar6, 20)
+
+
 def test_semiclassical_scan_window_one(scar6):
     rows = semiclassical_scan(scar6, 1)
     assert len(rows) == 81

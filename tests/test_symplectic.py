@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catlab import (SymplecticMatrix, admissible_N, char_poly, is_symplectic,
-                    phi_A, quantization_admissible, quantum_period)
+                    phi_A, quantum_period)
 from catlab.symplectic import form_matrix
 
 CAT = [[2, 1], [1, 1]]
@@ -64,18 +64,6 @@ def test_parity_vector_identity_and_uniqueness():
     # brute-force oracle values for the two standard examples
     assert phi_A(SymplecticMatrix(CAT)) == (0, 1)
     assert phi_A(SymplecticMatrix([[1, 1], [0, 1]])) == (1, 0)
-
-
-def test_quantization_admissibility():
-    A = SymplecticMatrix(CAT)
-    assert quantization_admissible(A, 144)
-    assert quantization_admissible(A, 2)
-    assert not quantization_admissible(A, 3)  # odd N, phi has an odd entry
-    I = SymplecticMatrix([[1, 0], [0, 1]])
-    from fractions import Fraction
-    assert quantization_admissible(I, 10, (Fraction(1, 3), Fraction(2, 7)))
-    with pytest.raises(ValueError):
-        quantization_admissible(A, 4, (0.5, 0.0))
 
 
 def test_quantum_period_examples():
