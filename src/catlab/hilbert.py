@@ -50,6 +50,11 @@ class QuantumState:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _check_dense(dim, what):
+    if dim > DENSE_LIMIT:
+        raise ValueError("dense %s exceeds materialization limit" % what)
+
+
 def _dense_matrix(apply_array, dim, what):
     """
     The dim x dim matrix of a linear map given by its batched apply,
@@ -57,8 +62,7 @@ def _dense_matrix(apply_array, dim, what):
     no temporary larger than one block is held.  Refuses dim above
     DENSE_LIMIT.
     """
-    if dim > DENSE_LIMIT:
-        raise ValueError("dense %s exceeds materialization limit" % what)
+    _check_dense(dim, what)
     out = np.empty((dim, dim), dtype=np.complex128)
     for lo in range(0, dim, _DENSE_COLS):
         cols = min(_DENSE_COLS, dim - lo)

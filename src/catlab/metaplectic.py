@@ -9,7 +9,10 @@ The SL(2,Z) propagator is a finite Gauss-sum kernel
 
 for A = [[a, b], [c, d]] with positive entries, theta = 0, N even.
 Applying it is a chirp - DFT - chirp on N b points, so the streamed path
-costs O(N b log(N b)) per state with O(N b) workspace.
+costs O(N b log(N b)) per state with O(N b) workspace.  Its dense matrix
+is not built through that apply: each entry is evaluated from the same
+chirps with the DFT phase jk mod N b reduced in integers (_sl2_apply),
+so the dense oracles do not share the apply's FFT rounding.
 
 Every apply_array takes coefficients of shape (..., N^n) and acts on the
 last axis; leading axes are a batch of states.
@@ -18,7 +21,8 @@ Every propagator here commutes with parity R: x -> -x, since -I is
 central in Sp(2n, Z).  The dense oracles egorov_defect and period_phase
 work on the even and odd blocks of M in the basis of the pairs {x, -x}
 (_parity_split), at half the size, and add a proven bound for the cross
-block they drop.
+block they drop; at b = 1 the SL(2) kernel is parity-symmetric bit for
+bit, and that block is exactly 0.
 """
 
 from dataclasses import dataclass
@@ -27,17 +31,28 @@ import math
 
 import numpy as np
 
-from .hilbert import DENSE_LIMIT, LatticeTranslation, _dense_matrix
+from .hilbert import (DENSE_LIMIT, LatticeTranslation, _check_dense,
+                      _dense_matrix)
 from .symplectic import SymplecticMatrix
+
+# Rows per block of a kernel evaluation: the block's residues and factors
+# stay small enough for the allocator to reuse them.
+_KERNEL_ROWS = 32
 
 
 class Propagator:
-    """Unitary on a state space; carries its classical matrix."""
+    """
+    Unitary on a state space; carries its classical matrix.  `kernel`, if
+    given, is kernel(idx) = M[np.ix_(idx, idx)] evaluated entry by entry
+    for a permutation idx of the basis; dense and the parity split read it
+    instead of applying M to identity columns.
+    """
 
-    def __init__(self, space, classical, apply_array):
+    def __init__(self, space, classical, apply_array, kernel=None):
         self.space = space
         self.classical = classical
         self._apply_array = apply_array
+        self._kernel = kernel
         self._dense = None
 
     def apply_array(self, c):
@@ -46,8 +61,10 @@ class Propagator:
     @property
     def dense(self):
         if self._dense is None:
-            self._dense = _dense_matrix(self.apply_array, self.space.dim,
-                                        "propagator")
+            self._dense = (
+                _dense_matrix(self.apply_array, self.space.dim, "propagator")
+                if self._kernel is None
+                else self._kernel(np.arange(self.space.dim)))
         return self._dense
 
     def compose(self, other):
@@ -80,6 +97,20 @@ def _chirp(c, n, L):
 
 
 def _sl2_apply(N, a, b, d):
+    """
+    The batched apply of the Gauss-sum kernel, and the kernel itself.
+    With L = N b and the apply's DFT over n = k + m N split as
+    e^{-2 pi i j k / L} e^{-2 pi i j m / b},
+
+        M[j, k] = chirp_out[j] e^{-2 pi i (j k mod L) / L} h_{j mod b}[k],
+        h_r[k] = sum_{m < b} e^{-2 pi i r m / b} chirp_in[k + m N],
+
+    which kernel(idx) evaluates at rows and columns idx, in blocks of
+    _KERNEL_ROWS rows written in place, with j k mod L taken in integers.
+    Each entry is the same arithmetic in any order, so a permuted matrix
+    equals the gathered one bit for bit.  Nothing is computed before the
+    first call.
+    """
     L = N * b
     chirp_in = _chirp(a, L, L)
     chirp_out = np.exp(-1j * np.pi / 4) / math.sqrt(L) * _chirp(d, N, L)
@@ -88,7 +119,24 @@ def _sl2_apply(N, a, b, d):
         x = (np.tile(c, b) if b > 1 else c) * chirp_in
         return chirp_out * np.fft.fft(x)[..., :N]
 
-    return apply_array
+    def kernel(idx):
+        _check_dense(len(idx), "propagator")
+        h = np.fft.fft(chirp_in.reshape(b, N), axis=0)[:, idx]
+        w = np.exp(-2j * np.pi / L * np.arange(L))
+        idx = idx.astype(np.int32)  # j k < N^2 <= DENSE_LIMIT^2 < 2^31
+        out = np.empty((len(idx), len(idx)), dtype=np.complex128)
+        res = np.empty((_KERNEL_ROWS, len(idx)), dtype=np.int32)
+        for lo in range(0, len(idx), _KERNEL_ROWS):
+            j = idx[lo:lo + _KERNEL_ROWS]
+            blk, r = out[lo:lo + len(j)], res[:len(j)]
+            np.multiply.outer(j, idx, out=r)
+            np.remainder(r, L, out=r)
+            np.take(w, r, out=blk, mode="clip")  # clip: no buffered copy
+            blk *= chirp_out[j, None]
+            blk *= h[j % b]
+        return out
+
+    return apply_array, kernel
 
 
 def metaplectic_sl2(space, A):
@@ -102,7 +150,7 @@ def metaplectic_sl2(space, A):
     ((a, b), (c, d)) = A.entries
     if min(a, b, c, d) <= 0:
         raise ValueError("the kernel formula requires all entries positive")
-    return Propagator(space, A, _sl2_apply(space.N, a, b, d))
+    return Propagator(space, A, *_sl2_apply(space.N, a, b, d))
 
 
 def metaplectic_adjoint(space, A):
@@ -114,7 +162,7 @@ def metaplectic_adjoint(space, A):
     if not isinstance(A, SymplecticMatrix):
         A = SymplecticMatrix(A)
     ((a, b), (c, d)) = A.entries
-    transpose_apply = _sl2_apply(space.N, d, b, a)
+    transpose_apply = _sl2_apply(space.N, d, b, a)[0]
 
     def apply_array(ccoef):
         return np.conj(transpose_apply(np.conj(ccoef)))
@@ -199,15 +247,30 @@ def _parity_rows(X, nf, npair):
     b += a
 
 
+def _scale_pairs(X, nf):
+    """
+    X <- S X S in place, S = 1 on the first nf indices and 1/sqrt(2) on
+    the rest.  The pair block is halved exactly: fl(1/sqrt(2))^2 is
+    0.5 (1 - 1.8e-16), a bias that a P-th power would grow to P times.
+    """
+    X[nf:, nf:] *= 0.5
+    X[:nf, nf:] *= 1 / math.sqrt(2)
+    X[nf:, :nf] *= 1 / math.sqrt(2)
+
+
 def _parity_split(P):
     """
-    P.dense in the parity basis: Q^T M Q = [[E, C_eo], [C_oe, O]], with
-    the even block E (fixed points first) and the odd block O.  Returns
-    ((order, nf, npair), E, O, ||C||_F), the first as _parity_order.
+    M in the parity basis: Q^T M Q = [[E, C_eo], [C_oe, O]], with the
+    even block E (fixed points first) and the odd block O.  Returns
+    ((order, nf, npair), E, O, ||C||_F), the first as _parity_order.  M
+    is evaluated in that order by P's kernel when it has one
+    (metaplectic_sl2), else gathered from P.dense.
 
     C = 0 exactly when M R = R M, which every propagator here satisfies:
     -I is central in Sp(2n, Z), and the Gauss-sum kernel is invariant
-    under (j, k) -> (-j, -k); numerically C is rounding.  Q diag(E, O) Q^T
+    under (j, k) -> (-j, -k).  Numerically C is rounding, and at b = 1 it
+    is 0.0: the evaluated kernel is itself invariant bit for bit, since
+    jk mod N is and both chirps are mirrored (_chirp).  Q diag(E, O) Q^T
     is M_s = (M + R M R)/2, and ||M - M_s||_2 <= ||C||_F bounds what
     dropping C costs.  ||C||_F = ||M - R M R||_F / 2 is taken from the
     entries of M, before the change of basis.  Raises ValueError when it
@@ -215,7 +278,8 @@ def _parity_split(P):
     """
     order, nf, npair = layout = _parity_order(P.space)
     ne = nf + npair
-    B = P.dense[np.ix_(order, order)]
+    B = (P.dense[np.ix_(order, order)] if P._kernel is None
+         else P._kernel(order))
     f, a, b = slice(0, nf), slice(nf, ne), slice(ne, None)
     # M - R M R is these four block differences, each at (x, y) and at
     # (-x, -y), and zero on the fixed block: ||C||_F^2 = cross2 / 2
@@ -231,8 +295,7 @@ def _parity_split(P):
             "||C||_F = %.3e exceeds PERIOD_PHASE_TOL" % cross)
     _parity_rows(B, nf, npair)
     _parity_rows(B.T, nf, npair)
-    B[nf:] *= 1 / math.sqrt(2)
-    B[:, nf:] *= 1 / math.sqrt(2)
+    _scale_pairs(B, nf)
     return layout, B[:ne, :ne], B[ne:, ne:], cross
 
 
@@ -245,8 +308,9 @@ def egorov_defect(P, window):
     Parity contract: M commutes with R: x -> -x (_parity_split).  With Q
     the parity basis and M = Q (diag(E, O) + C) Q^T,
     M^H U M = Q diag(E^H, O^H) Q^T U M + Q C^H Q^T U M, and the second
-    term has max entry <= ||C||_F ||U M||_2 = ||C||_F.  So each shift
-    costs two (N^n/2) x (N^n/2) x N^n products.  U_{j/N} is monomial, so
+    term has max entry <= ||C||_F ||U M||_2 = ||C||_F, which is 0.0 for
+    metaplectic_sl2 at b = 1.  So each shift costs two
+    (N^n/2) x (N^n/2) x N^n products.  U_{j/N} is monomial, so
     U M is a phased gather of the rows of M, taken in parity order, and
     Q^T and Q are in-place sums and differences of row pairs.  U_{-j} =
     U_j^dagger exactly (the phases are reduced mod 2N in integers), so
@@ -264,9 +328,8 @@ def egorov_defect(P, window):
     # Q = S H, S = 1 on the fixed rows and 1/sqrt(2) on the pair rows, so
     # the rows of M^H U M are H S diag(E^H, O^H) S (H U M): S is folded
     # into E^H and O^H
-    s = np.full(ne, 1 / math.sqrt(2))
-    s[:nf] = 1.0
-    Eh, Oh = E.conj().T * np.outer(s, s), O.conj().T / 2
+    Eh, Oh = E.conj().T, O.conj().T / 2
+    _scale_pairs(Eh, nf)
     del E, O
     UM = np.empty_like(M)  # H U M, rows in the parity basis
     diff = np.empty_like(M)  # M^H U M - U', rows in parity order
@@ -290,6 +353,38 @@ def egorov_defect(P, window):
     return worst + cross
 
 
+def _matrix_power(a, n):
+    """
+    np.linalg.matrix_power(a, n) for n >= 1, bit for bit: the same
+    products in the same order, numpy's short cuts for n <= 3 included.
+    Each product is written into a itself (overwritten) or one of at most
+    two buffers, so no temporary is allocated per product.
+    """
+    slots = [a]
+
+    def product(x, y, keep):
+        # into a slot that holds neither operand nor keep
+        out = next((s for s in slots
+                    if s is not x and s is not y and s is not keep), None)
+        if out is None:
+            out = np.empty_like(a)
+            slots.append(out)
+        return np.matmul(x, y, out=out)
+
+    if n == 1:
+        return a
+    if n <= 3:  # numpy's short cuts: a a and (a a) a
+        aa = product(a, a, None)
+        return aa if n == 2 else product(aa, a, None)
+    z = result = None
+    while n > 0:
+        z = a if z is None else product(z, z, result)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else product(result, z, None)
+    return result
+
+
 @dataclass(frozen=True)
 class PeriodPhase:
     P: int
@@ -309,7 +404,9 @@ def period_phase(P, period):
     defect is the max entry of Q diag(E^P, O^P) Q^T - e^{i phi} I in the
     original basis, plus P ||C||_F: with M_s = Q diag(E, O) Q^T,
     ||M^P - M_s^P||_2 <= P ||M - M_s||_2 <= P ||C||_F since both have
-    norm <= 1, so the defect bounds |M^P - e^{i phi} I|_max.  Raises
+    norm <= 1, so the defect bounds |M^P - e^{i phi} I|_max.  That term
+    is 0.0 for metaplectic_sl2 at b = 1.  The powers are numpy's
+    matrix_power products, in reused buffers (_matrix_power).  Raises
     ValueError when ||C||_F exceeds PERIOD_PHASE_TOL.
     Streamed path (above DENSE_LIMIT): phi from M^period e_0, and the
     defect |M^period e_0 - e^{i phi} e_0|_max, an estimate on e_0 only,
@@ -321,8 +418,8 @@ def period_phase(P, period):
     space = P.space
     if space.dim <= DENSE_LIMIT:
         (_, nf, _), E, O, cross = _parity_split(P)
-        E = np.linalg.matrix_power(E, period)
-        O = np.linalg.matrix_power(O, period)
+        E = _matrix_power(E, period)
+        O = _matrix_power(O, period)
         phi = float(np.angle((np.trace(E) + np.trace(O)) / space.dim))
         E.flat[::len(E) + 1] -= np.exp(1j * phi)
         O.flat[::len(O) + 1] -= np.exp(1j * phi)

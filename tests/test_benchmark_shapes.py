@@ -26,6 +26,8 @@ for w in workloads.WORKLOADS:
         assert not rc, (w, job["type"], rc)
 failed = sorted({s[0] for s in tracer.spans if s[5]})
 assert not failed, failed
+# the unitarity warm-up builds P.dense, which metaplectic.dense.self_s times
+assert "metaplectic.dense" in {s[0] for s in tracer.spans}
 """
 
 

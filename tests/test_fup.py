@@ -230,6 +230,29 @@ def test_lines_counterexample_skips_segments_off_the_grid():
     assert ce["direction"] == (math.cos(math.pi / 16), math.sin(math.pi / 16))
 
 
+def test_grid_meets_mask_matches_fft_count():
+    # The window-meets-grid mask from the stencil offsets equals the FFT
+    # count of the all-ones mask at every centre in [0, M]^d, at every
+    # scale r = 2^i of the CLI's default sweep.  Windows at a centre with a
+    # coordinate M miss the grid for small balls in d = 2 and for lines.
+    missed = set()
+    for depth in (3, 4, 5):
+        M = 3 ** depth
+        for r in [2 ** i for i in range(M.bit_length())]:
+            for kind, stencils in [
+                    ("balls d=1", (fup._norm2(r, 1) <= r * r)[..., None]),
+                    ("balls d=2", (fup._norm2(r, 2) <= r * r)[..., None]),
+                    ("lines", fup._segments(r))]:
+                ones = np.ones((M,) * (stencils.ndim - 1), dtype=bool)
+                want = fup._hits(ones, stencils) > 0
+                got = fup._meets_grid(M, stencils)
+                assert got.shape == want.shape, (depth, r, kind)
+                assert np.array_equal(got, want), (depth, r, kind)
+                if not want.all():
+                    missed.add(kind)
+    assert missed == {"balls d=2", "lines"}
+
+
 def test_stencil_counts_refuse_inexact_fft(monkeypatch):
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *a: irfftn(*a) + 0.3)
@@ -307,6 +330,8 @@ def test_basic_scaling_matches_theory():
         assert abs(run.fitted_slope - run.theory_slope) < tol
     with pytest.raises(ValueError):
         scaling_experiment("basic", delta=0.4)
+    with pytest.raises(ValueError, match="delta"):
+        scaling_experiment("basic")  # delta defaults to None
     with pytest.raises(ValueError):
         scaling_experiment("nope")
 

@@ -7,8 +7,9 @@ import catlab.metaplectic
 from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
                     metaplectic_adjoint, metaplectic_sl2, period_phase,
                     rotation_propagator, tensor_propagator, weyl_quantize)
-from catlab.hilbert import LatticeTranslation, StateSpace
-from catlab.metaplectic import (Propagator, _chirp, _parity_split,
+from catlab.hilbert import LatticeTranslation, StateSpace, _dense_matrix
+from catlab.metaplectic import (Propagator, _chirp, _matrix_power,
+                                _parity_order, _parity_split,
                                 rotation_classical)
 from catlab.symplectic import quantum_period
 
@@ -80,10 +81,12 @@ def test_chirp_is_np_exp_bit_for_bit():
 
 
 def test_dense_equals_column_by_column_build():
+    # metaplectic_sl2 evaluates its kernel instead (test_sl2_kernel_...)
     sp1, sp2 = StateSpace(1, 10), StateSpace(2, 10)
-    props = [metaplectic_sl2(SP34, A) for A in SL2_BY_B]
-    props += [metaplectic_adjoint(SP34, SL2_BY_B[3]),
-              rotation_propagator(sp2),
+    M = metaplectic_sl2(SP34, SL2_BY_B[1])
+    props = [metaplectic_adjoint(SP34, SL2_BY_B[3]),
+             M.compose(M),
+             rotation_propagator(sp2),
               tensor_propagator(sp2, metaplectic_sl2(sp1, SL2_BY_B[0]),
                                 metaplectic_sl2(sp1, SL2_BY_B[1]))]
     for P in props:
@@ -101,6 +104,50 @@ def test_dense_equals_column_by_column_build():
         mono = np.zeros_like(cols)
         mono[np.arange(U.space.dim), src] = phase
         assert np.array_equal(mono, cols)
+
+
+@pytest.mark.parametrize("N", [34, 144, 204, 610])
+def test_sl2_kernel_matches_apply_and_parity_order(N):
+    # The kernel, evaluated entry by entry, against the batched apply on
+    # identity columns; in parity order it is the gathered matrix bit for
+    # bit, and at b = 1 it is parity-symmetric bit for bit, so ||C||_F = 0.
+    space = StateSpace(1, N)
+    order = _parity_order(space)[0]
+    for A in SL2_BY_B:
+        P = metaplectic_sl2(space, A)
+        reference = _dense_matrix(P.apply_array, N, "propagator")
+        assert np.abs(P.dense - reference).max() <= 1e-14, A
+        assert np.array_equal(P._kernel(order),
+                              P.dense[np.ix_(order, order)]), A
+        if A[0][1] == 1:
+            assert _parity_split(P)[3] == 0.0
+    with pytest.raises(ValueError, match="materialization limit"):
+        metaplectic_sl2(StateSpace(1, 4098), CAT).dense
+
+
+def test_sl2_construction_builds_no_kernel():
+    # The two chirps (16 N bytes each) and one chirp-sized temporary, as
+    # before the kernel: nothing of it is evaluated until dense is read.
+    N = 46368
+    tracemalloc.start()
+    try:
+        metaplectic_sl2(StateSpace(1, N), CAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * N + 1024
+
+
+def test_matrix_power_is_numpys_bit_for_bit():
+    # on copies and on the parity blocks as period_phase has them, views
+    # into one matrix that _matrix_power overwrites
+    P = metaplectic_sl2(StateSpace(1, 144), SL2_BY_B[1])
+    for n in (1, 2, 3, 7, 8, 12, 30, 186):
+        for k in (1, 2):  # E and O
+            block = _parity_split(P)[k]
+            want = np.linalg.matrix_power(block, n)
+            assert np.array_equal(_matrix_power(block.copy(), n), want), n
+            assert np.array_equal(_matrix_power(block, n), want), n
 
 
 def _triple_product_defect(P, window):
