@@ -2,7 +2,9 @@
 Runs every `catlab ...` line of the README's example block in-process
 against the catlab package of a source tree, writing the artifacts into
 one output directory, and optionally compares them with a reference
-directory.
+directory.  Each example's line is printed after it runs, with its exit
+code and its in-process wall time, so one run on each of two checkouts
+gives their README-level timings side by side.
 
     python scripts/readme_examples.py SRC OUT [REF]
 
@@ -31,6 +33,7 @@ import math
 import os
 import shlex
 import sys
+import time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "README.md")
@@ -162,8 +165,9 @@ def main(argv):
     lines = example_lines()
     failed = 0
     for line in lines:
+        start = time.perf_counter()
         rc = catlab.cli.main(shlex.split(line)[1:] + ["--out", out])
-        print("rc=%d  %s" % (rc, line))
+        print("rc=%d  %8.4f s  %s" % (rc, time.perf_counter() - start, line))
         failed += rc != 0
     if len(argv) == 3 and not compare(out, argv[2]):
         failed += 1

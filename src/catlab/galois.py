@@ -19,8 +19,10 @@ oracle.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -321,11 +323,63 @@ def certify_wreath(coeffs, prime_bound=200):
                              witnesses=witnesses)
 
 
+# Entries (polynomials times points of F_ell) per block of the value
+# tables reciprocal_census holds.
+_CENSUS_BLOCK_ENTRIES = 2 ** 16
+
+
+def _census_classes(G, ell):
+    """
+    Counts by witness class of the monic trace polynomials G mod ell
+    (rows, high degree first): entry k counts class 2k, and entry 0 is
+    unused.  This is _reciprocal_class's decision on every row at once,
+    from one Horner pass for g and g' at every t in F_ell and one table
+    of Legendre symbols.  The rows whose cofactor has degree >= 4 and
+    passes the Legendre test go to _reciprocal_class one at a time,
+    where factor_type decides them.
+    """
+    rows, n = len(G), G.shape[1] - 1
+    t = np.arange(ell)
+    v = np.ones((rows, ell), dtype=np.int64)  # g is monic
+    dv = np.zeros_like(v)
+    for c in G[:, 1:].T:  # entries stay below ell^2
+        dv *= t
+        dv += v
+        dv %= ell
+        v *= t
+        v += c[:, None]
+        v %= ell
+    chi = np.full(ell, -1)
+    chi[t * t % ell] = 1
+    chi[0] = 0
+    root = v == 0
+    g2 = v[:, 2 % ell] * v[:, -2 % ell] % ell
+    ok = (g2 != 0) & ~(root & (dv == 0)).any(axis=1)
+    inert = (root & (chi[(t * t - 4) % ell] == -1)).sum(axis=1)
+    k = n - root.sum(axis=1)
+    # k = 0: class 2 when exactly one root is inert; k >= 1: class 2k
+    # when every root is split and chi(g(2) g(-2)) = -1
+    ok &= np.where(k == 0, inert == 1, (inert == 0) & (chi[g2] == -1))
+    counts = np.bincount(np.maximum(k, 1)[ok & (k <= 3)], minlength=n + 1)
+    for row in G[ok & (k >= 4)].tolist():
+        cls = _reciprocal_class(row, ell)
+        if cls is not None:
+            counts[cls // 2] += 1
+    return counts
+
+
 def reciprocal_census(ell, n):
     """
     Enumerates all ell^n monic reciprocal polynomials of degree 2n over
     F_ell, classifying each; returns {"total": ell^n, "classes": {2k:
     {"count", "main_term", "abs_error"}}, "other": remainder}.
+
+    The polynomials are classified in blocks of at most
+    _CENSUS_BLOCK_ENTRIES // ell (at least one), each block's free
+    coefficients the mixed-radix digits of an index range.  The trace
+    polynomial g = T f is linear in the coefficients f, with the columns
+    of T from _trace_poly on unit vectors; _census_classes decides each
+    block, and _reciprocal_class is its row-by-row oracle.
     """
     if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
@@ -333,26 +387,28 @@ def reciprocal_census(ell, n):
         raise ValueError("census degree n must be >= 1")
     if ell ** n > 10 ** 7:
         raise ValueError("census guard exceeded (ell^n > 1e7)")
-    counts = {2 * k: 0 for k in range(1, n + 1)}
-    total = 0
-    for free in itertools.product(range(ell), repeat=n):
-        # palindromic coefficient vector [1, a1, ..., an, ..., a1, 1]
-        coeffs = [1] + list(free) + list(reversed(free[:-1])) + [1]
-        total += 1
-        cls = _reciprocal_class(_trace_poly(coeffs), ell)
-        if cls is not None:
-            counts[cls] += 1
+    total = ell ** n
+    # g of [1, a_1, ..., a_n, ...] is T[:, 0] + sum_i a_i T[:, i]
+    T = np.array([_trace_poly([int(i == j) for j in range(n + 1)] + [0] * n)
+                  for i in range(n + 1)]).T % ell
+    radix = ell ** np.arange(n - 1, -1, -1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    rows = max(1, _CENSUS_BLOCK_ENTRIES // ell)
+    for lo in range(0, total, rows):
+        free = np.arange(lo, min(lo + rows, total))[:, None] // radix % ell
+        G = (free @ T[:, 1:].T + T[:, 0]) % ell
+        counts += _census_classes(G, ell)
     classes = {}
     for k in range(1, n + 1):
         main = ell ** n / (2 ** (n - k + 1) * k *
                            math.factorial(n - k))
         classes[2 * k] = {
-            "count": counts[2 * k],
+            "count": int(counts[k]),
             "main_term": float(main),
-            "abs_error": abs(counts[2 * k] - float(main)),
+            "abs_error": abs(int(counts[k]) - float(main)),
         }
     return {"total": total, "classes": classes,
-            "other": total - sum(counts.values())}
+            "other": total - int(counts[1:].sum())}
 
 
 def power_scan(A, m_max, prime_bound=200):
@@ -412,8 +468,12 @@ def sl2_census(ell):
     return {int(t): int(counts[t]) for t in range(ell)}
 
 
+@functools.cache
 def _shear_pool(n):
-    """All nonzero symmetric n x n 0/1 matrices, as lists of rows."""
+    """
+    All nonzero symmetric n x n 0/1 matrices S, each as its supports: for
+    each column c, the k with S[c][k] = 1.
+    """
     pool = []
     positions = [(i, j) for i in range(n) for j in range(i, n)]
     for bits in itertools.product((0, 1), repeat=len(positions)):
@@ -422,8 +482,9 @@ def _shear_pool(n):
         S = [[0] * n for _ in range(n)]
         for (i, j), bit in zip(positions, bits):
             S[i][j] = S[j][i] = bit
-        pool.append(S)
-    return pool
+        pool.append(tuple(tuple(k for k in range(n) if S[c][k])
+                          for c in range(n)))
+    return tuple(pool)
 
 
 def sample_sp(n, word_length, count, seed=0):
@@ -439,6 +500,9 @@ def sample_sp(n, word_length, count, seed=0):
     commute and mixed signs produce elliptic products, so this schedule
     keeps the walk uniformly hyperbolic.  Output is in interleaved
     coordinates.
+
+    Each letter is applied as additions of Python-int columns, so the
+    entries are exact at any word length.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2, or 3")
@@ -449,22 +513,22 @@ def sample_sp(n, word_length, count, seed=0):
     from .symplectic import SymplecticMatrix
     rng = np.random.default_rng(seed)
     pool = _shear_pool(n)
-    lo, hi = range(n), range(n, 2 * n)
+    perm = [k for i in range(n) for k in (i, n + i)]
     out = []
     for _ in range(count):
-        # rows of A in block coordinates; columns lo are A_1, hi are A_2
-        A = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
-        sign = 1 if rng.integers(2) == 0 else -1
+        # columns of A in block coordinates: 0..n-1 are A_1, n.. are A_2
+        A = [[int(i == j) for i in range(2 * n)] for j in range(2 * n)]
+        add = operator.add if rng.integers(2) == 0 else operator.sub
         side = int(rng.integers(2))
         for step in range(word_length):
             S = pool[int(rng.integers(len(pool)))]
             # upper letter: A_2 += sign A_1 S; lower: A_1 += sign A_2 S
-            src, dst = (lo, hi) if (step + side) % 2 == 0 else (hi, lo)
-            for row in A:
-                x = [row[k] for k in src]
-                for col, s_col in zip(dst, S):  # S is symmetric
-                    row[col] += sign * sum(a * b for a, b in zip(x, s_col))
-        perm = [k for i in range(n) for k in (i, n + i)]
-        out.append(SymplecticMatrix([[A[i][j] for j in perm]
+            src, dst = (0, n) if (step + side) % 2 == 0 else (n, 0)
+            for c, support in enumerate(S):
+                col = A[dst + c]
+                for k in support:
+                    col = list(map(add, col, A[src + k]))
+                A[dst + c] = col
+        out.append(SymplecticMatrix([[A[j][i] for j in perm]
                                      for i in perm]))
     return out

@@ -258,13 +258,23 @@ def _scale_pairs(X, nf):
     X[nf:, :nf] *= 1 / math.sqrt(2)
 
 
-def _parity_split(P):
+def _parity_kernel(P):
+    """
+    (layout, B): layout as _parity_order, and B the matrix of M with
+    rows and columns in that order, evaluated so by P's kernel when it
+    has one (metaplectic_sl2), else gathered from P.dense.
+    """
+    order, _, _ = layout = _parity_order(P.space)
+    return layout, (P.dense[np.ix_(order, order)] if P._kernel is None
+                    else P._kernel(order))
+
+
+def _parity_split(layout, B):
     """
     M in the parity basis: Q^T M Q = [[E, C_eo], [C_oe, O]], with the
-    even block E (fixed points first) and the odd block O.  Returns
-    ((order, nf, npair), E, O, ||C||_F), the first as _parity_order.  M
-    is evaluated in that order by P's kernel when it has one
-    (metaplectic_sl2), else gathered from P.dense.
+    even block E (fixed points first) and the odd block O, from M in
+    parity order as _parity_kernel gives it, which is overwritten.
+    Returns (layout, E, O, ||C||_F), E and O views into B.
 
     C = 0 exactly when M R = R M, which every propagator here satisfies:
     -I is central in Sp(2n, Z), and the Gauss-sum kernel is invariant
@@ -276,10 +286,8 @@ def _parity_split(P):
     entries of M, before the change of basis.  Raises ValueError when it
     exceeds PERIOD_PHASE_TOL: M then does not commute with R.
     """
-    order, nf, npair = layout = _parity_order(P.space)
+    _, nf, npair = layout
     ne = nf + npair
-    B = (P.dense[np.ix_(order, order)] if P._kernel is None
-         else P._kernel(order))
     f, a, b = slice(0, nf), slice(nf, ne), slice(ne, None)
     # M - R M R is these four block differences, each at (x, y) and at
     # (-x, -y), and zero on the fixed block: ||C||_F^2 = cross2 / 2
@@ -310,11 +318,13 @@ def egorov_defect(P, window):
     M^H U M = Q diag(E^H, O^H) Q^T U M + Q C^H Q^T U M, and the second
     term has max entry <= ||C||_F ||U M||_2 = ||C||_F, which is 0.0 for
     metaplectic_sl2 at b = 1.  So each shift costs two
-    (N^n/2) x (N^n/2) x N^n products.  U_{j/N} is monomial, so
-    U M is a phased gather of the rows of M, taken in parity order, and
-    Q^T and Q are in-place sums and differences of row pairs.  U_{-j} =
-    U_j^dagger exactly (the phases are reduced mod 2N in integers), so
-    the difference at -j is the conjugate transpose of the one at j, with
+    (N^n/2) x (N^n/2) x N^n products.  M is built once, in parity order
+    (_parity_kernel), and split from a copy.  U_{j/N} is monomial, so
+    U M is a phased gather of its rows; its columns stay in parity
+    order, a permutation that leaves every max unchanged.  Q^T and Q are
+    in-place sums and differences of row pairs.  U_{-j} = U_j^dagger
+    exactly (the phases are reduced mod 2N in integers), so the
+    difference at -j is the conjugate transpose of the one at j, with
     the same largest entry: only j = 0 and one j of each +-j pair is
     formed.  Raises ValueError when ||C||_F exceeds PERIOD_PHASE_TOL.
     """
@@ -322,33 +332,37 @@ def egorov_defect(P, window):
         raise ValueError("Egorov window must be >= 0")
     space = P.space
     A_inv = P.classical.inverse()
-    M = P.dense
-    (order, nf, npair), E, O, cross = _parity_split(P)
+    layout, M = _parity_kernel(P)
+    order, nf, npair = layout
     ne = nf + npair
+    UM = M.copy()
+    _, E, O, cross = _parity_split(layout, UM)
     # Q = S H, S = 1 on the fixed rows and 1/sqrt(2) on the pair rows, so
     # the rows of M^H U M are H S diag(E^H, O^H) S (H U M): S is folded
     # into E^H and O^H
     Eh, Oh = E.conj().T, O.conj().T / 2
     _scale_pairs(Eh, nf)
-    del E, O
-    UM = np.empty_like(M)  # H U M, rows in the parity basis
-    diff = np.empty_like(M)  # M^H U M - U', rows in parity order
-    mag = np.empty(M.shape)
+    del E, O  # UM is free: it now holds H U M, rows in the parity basis
+    diff = np.empty_like(M)  # M^H U M - U', rows and columns in parity order
+    # |diff| goes into UM's buffer, which the next gather overwrites
+    mag = UM.reshape(-1).view(np.float64)[:UM.size].reshape(UM.shape)
     rows = np.arange(space.dim)
+    pos = np.empty_like(order)  # pos[order] = rows
+    pos[order] = rows
     worst = 0.0
     for j in itertools.product(range(-window, window + 1), repeat=2 * space.n):
         if j < tuple(-v for v in j):
             continue
         src, phase = LatticeTranslation(space, j).monomial()
         # clip mode writes into UM directly; raise mode buffers a copy
-        np.take(M, src[order], axis=0, out=UM, mode="clip")
+        np.take(M, pos[src[order]], axis=0, out=UM, mode="clip")
         UM *= phase[order][:, None]
         _parity_rows(UM, nf, npair)
         np.matmul(Eh, UM[:ne], out=diff[:ne])
         np.matmul(Oh, UM[ne:], out=diff[ne:])
         _parity_rows(diff, nf, npair)
         src, phase = LatticeTranslation(space, A_inv.apply(j)).monomial()
-        diff[rows, src[order]] -= phase[order]
+        diff[rows, pos[src[order]]] -= phase[order]
         worst = max(worst, float(np.abs(diff, out=mag).max()))
     return worst + cross
 
@@ -417,7 +431,7 @@ def period_phase(P, period):
         raise ValueError("period must be >= 1")
     space = P.space
     if space.dim <= DENSE_LIMIT:
-        (_, nf, _), E, O, cross = _parity_split(P)
+        (_, nf, _), E, O, cross = _parity_split(*_parity_kernel(P))
         E = _matrix_power(E, period)
         O = _matrix_power(O, period)
         phi = float(np.angle((np.trace(E) + np.trace(O)) / space.dim))

@@ -31,14 +31,20 @@ def form_matrix(n):
     return J
 
 
+def _preserves_form(M):
+    """M^T J M == J for a square object array M of even dimension."""
+    JM = np.empty_like(M)  # J M: rows (2i, 2i + 1) become (-M_2i+1, M_2i)
+    JM[0::2] = -M[1::2]
+    JM[1::2] = M[0::2]
+    return bool((M.T @ JM == form_matrix(len(M) // 2)).all())
+
+
 def is_symplectic(entries):
     """True iff M^T J M = J exactly, in integer arithmetic."""
     M = _as_object_array(entries)
     if M.shape[0] % 2 != 0:
         raise ValueError("symplectic matrices have even dimension")
-    n = M.shape[0] // 2
-    J = form_matrix(n)
-    return bool((M.T @ J @ M == J).all())
+    return _preserves_form(M)
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,9 @@ class SymplecticMatrix:
 
     def __post_init__(self):
         M = _as_object_array(self.entries)
-        object.__setattr__(self, "entries",
-                           tuple(tuple(int(v) for v in row) for row in M))
+        object.__setattr__(self, "entries", tuple(map(tuple, M.tolist())))
         # A^T J A = J already forces det A = 1 (the Pfaffian identity)
-        if not is_symplectic(M):
+        if len(M) % 2 != 0 or not _preserves_form(M):
             raise ValueError("matrix is not symplectic")
 
     @property
@@ -103,16 +108,19 @@ class CharPoly:
 def char_poly(A):
     """
     Exact characteristic polynomial sum_k c_k x^(2n-k) of a
-    SymplecticMatrix by Faddeev-LeVerrier: c_0 = 1, M_0 = 0,
+    SymplecticMatrix by Faddeev-LeVerrier: c_0 = 1, M_1 = I,
     M_k = A M_{k-1} + c_{k-1} I and c_k = -tr(A M_k) / k, where every
-    division is exact over Z.
+    division is exact over Z.  tr(A M_k) is the sum of the entries of
+    A^T * M_k, so each step forms one product.
     """
     a = A.array()
-    I = np.eye(len(a), dtype=object)
-    M, coeffs = 0 * I, [1]
-    for k in range(1, len(a) + 1):
-        M = a @ M + coeffs[-1] * I
-        coeffs.append(-int(np.trace(a @ M)) // k)
+    d = len(a)
+    M, coeffs = np.eye(d, dtype=object), [1]
+    for k in range(1, d + 1):
+        if k > 1:
+            M = a @ M
+            M.flat[::d + 1] += coeffs[-1]
+        coeffs.append(-int((a.T * M).sum()) // k)
     coeffs = tuple(coeffs)
     return CharPoly(coeffs, coeffs == coeffs[::-1])
 
@@ -130,21 +138,25 @@ def _sigma(z, w):
 def phi_A(A):
     """
     The unique parity vector phi in {0,1}^{2n} with
-    Q(A^{-1} w) - Q(w) = sigma(phi, w) mod 2 for all integer w,
-    found and verified by brute force over w in {0,1}^{2n}.
+    Q(A^{-1} w) - Q(w) = sigma(phi, w) mod 2 for all integer w.  Both
+    sides depend on w mod 2 only, and sigma(phi, e_2i) = phi_2i+1,
+    sigma(phi, e_2i+1) = -phi_2i: phi is read from the unit vectors and
+    then verified on every w in {0,1}^{2n}.
     """
-    n = A.n
-    Ainv = A.inverse()
-    tests = list(product((0, 1), repeat=2 * n))
-    targets = [(_Q(Ainv.apply(w)) - _Q(w)) % 2 for w in tests]
-    solutions = []
-    for phi in product((0, 1), repeat=2 * n):
-        if all(_sigma(phi, w) % 2 == t for w, t in zip(tests, targets)):
-            solutions.append(phi)
-    if len(solutions) != 1:
+    dim = 2 * A.n
+    inv = [[v % 2 for v in row] for row in A.inverse().entries]
+
+    def target(w):
+        v = [sum(a * b for a, b in zip(row, w)) for row in inv]
+        return (_Q(v) - _Q(w)) % 2
+
+    unit = [target([int(i == j) for j in range(dim)]) for i in range(dim)]
+    phi = tuple(unit[i ^ 1] for i in range(dim))
+    if any(_sigma(phi, w) % 2 != target(w)
+           for w in product((0, 1), repeat=dim)):
         raise AssertionError(
-            "parity vector not unique; input is not a valid symplectic matrix")
-    return solutions[0]
+            "no parity vector; input is not a valid symplectic matrix")
+    return phi
 
 
 # quantum_period gives up after PERIOD_CAP_FACTOR * N multiplications.

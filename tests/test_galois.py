@@ -318,6 +318,60 @@ def test_pinned_censuses_and_power_scan():
         undetermined(5, (1, 0, 15127, 0, 1))]}
 
 
+def _counted_factor_type(monkeypatch):
+    """Counts the calls of factor_type from inside catlab.galois."""
+    calls = []
+
+    def counted(coeffs, ell):
+        calls.append(ell)
+        return factor_type(coeffs, ell)
+
+    monkeypatch.setattr(catlab.galois, "factor_type", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ell,n", [(3, 4), (3, 5), (5, 4), (7, 3), (13, 2)])
+def test_batched_census_matches_reciprocal_class(monkeypatch, ell, n):
+    # _reciprocal_class on every palindrome is the oracle, for the counts
+    # and for the rows it factors, which the census must factor too
+    calls = _counted_factor_type(monkeypatch)
+    want = {2 * k: 0 for k in range(1, n + 1)}
+    for free in itertools.product(range(ell), repeat=n):
+        cls = _reciprocal_class(_trace_poly(_palindrome(1, free)), ell)
+        if cls is not None:
+            want[cls] += 1
+    loop_calls = len(calls)
+    calls.clear()
+    out = reciprocal_census(ell, n)
+    assert {c: rec["count"] for c, rec in out["classes"].items()} == want
+    assert out["other"] == ell ** n - sum(want.values())
+    assert len(calls) == loop_calls
+    assert (loop_calls > 0) == (n >= 4)
+
+
+def test_census_blocks_agree(monkeypatch):
+    whole = [reciprocal_census(ell, n) for ell, n in [(3, 5), (7, 3)]]
+    for entries in (1, 20, 100):  # one row per block, then a few rows
+        monkeypatch.setattr(catlab.galois, "_CENSUS_BLOCK_ENTRIES", entries)
+        assert [reciprocal_census(ell, n)
+                for ell, n in [(3, 5), (7, 3)]] == whole
+
+
+def test_census_memory_is_one_block():
+    # 47^3 = 103,823 polynomials: their value table alone would be
+    # 39 MB of int64; the blocks hold 8 bytes per entry, and the census
+    # peaks at 2.6 blocks
+    block = 8 * catlab.galois._CENSUS_BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        out = reciprocal_census(47, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["total"] == 47 ** 3
+    assert peak < 4 * block
+
+
 def test_sl2_census_exact():
     ell = 11
     counts = sl2_census(ell)
@@ -371,6 +425,56 @@ def test_sample_sp_pinned_words():
          (-7450, 52911, -28870, 37368, -12583, 39078),
          (1151, -8151, 4456, -5764, 1938, -6041),
          (-975, 6900, -3774, 4880, -1640, 5119))]
+
+
+def _letters(n, word_length, count, seed):
+    """
+    The letters of sample_sp's words as SymplecticMatrix, from the same
+    draws: upper [[I, +-S], [0, I]] and lower [[I, 0], [+-S, I]] in
+    block coordinates, taken to interleaved ones.
+    """
+    positions = [(i, j) for i in range(n) for j in range(i, n)]
+    pool = []
+    for bits in itertools.product((0, 1), repeat=len(positions)):
+        S = np.zeros((n, n), dtype=object)
+        for (i, j), bit in zip(positions, bits):
+            S[i, j] = S[j, i] = bit
+        if any(bits):
+            pool.append(S)
+    perm = [k for i in range(n) for k in (i, n + i)]
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(count):
+        sign = 1 if rng.integers(2) == 0 else -1
+        side = int(rng.integers(2))
+        word = []
+        for step in range(word_length):
+            S = sign * pool[int(rng.integers(len(pool)))]
+            L = np.eye(2 * n, dtype=object)
+            if (step + side) % 2 == 0:
+                L[:n, n:] = S
+            else:
+                L[n:, :n] = S
+            word.append(SymplecticMatrix(L[np.ix_(perm, perm)].tolist()))
+        words.append(word)
+    return words
+
+
+def test_sample_sp_is_the_exact_product_of_its_letters():
+    # entries pass 2^63 (7.2e23 here), so they must stay Python ints
+    mats = sample_sp(3, 80, 3, seed=0)
+    assert max(abs(v) for m in mats for row in m.entries for v in row) > 2 ** 63
+    for m, word in zip(mats, _letters(3, 80, 3, 0)):
+        product = word[0]
+        for letter in word[1:]:
+            product = product @ letter
+        assert m.entries == product.entries
+    for n in (1, 2):
+        for m, word in zip(sample_sp(n, 9, 4, seed=3), _letters(n, 9, 4, 3)):
+            product = word[0]
+            for letter in word[1:]:
+                product = product @ letter
+            assert m.entries == product.entries
 
 
 def test_sample_sp_shapes_and_determinism():

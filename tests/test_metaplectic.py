@@ -9,7 +9,7 @@ from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
                     rotation_propagator, tensor_propagator, weyl_quantize)
 from catlab.hilbert import LatticeTranslation, StateSpace, _dense_matrix
 from catlab.metaplectic import (Propagator, _chirp, _matrix_power,
-                                _parity_order, _parity_split,
+                                _parity_kernel, _parity_order, _parity_split,
                                 rotation_classical)
 from catlab.symplectic import quantum_period
 
@@ -120,7 +120,7 @@ def test_sl2_kernel_matches_apply_and_parity_order(N):
         assert np.array_equal(P._kernel(order),
                               P.dense[np.ix_(order, order)]), A
         if A[0][1] == 1:
-            assert _parity_split(P)[3] == 0.0
+            assert _parity_split(*_parity_kernel(P))[3] == 0.0
     with pytest.raises(ValueError, match="materialization limit"):
         metaplectic_sl2(StateSpace(1, 4098), CAT).dense
 
@@ -144,7 +144,7 @@ def test_matrix_power_is_numpys_bit_for_bit():
     P = metaplectic_sl2(StateSpace(1, 144), SL2_BY_B[1])
     for n in (1, 2, 3, 7, 8, 12, 30, 186):
         for k in (1, 2):  # E and O
-            block = _parity_split(P)[k]
+            block = _parity_split(*_parity_kernel(P))[k]
             want = np.linalg.matrix_power(block, n)
             assert np.array_equal(_matrix_power(block.copy(), n), want), n
             assert np.array_equal(_matrix_power(block, n), want), n
@@ -226,7 +226,7 @@ def test_period_phase_bound_grows_with_the_period(N, period):
     # reads 1.6e-13 against 1.5e-14 unsplit at P = 48, and 8.9e-13 against
     # 1.7e-14 at P = 186, far below the 1e-8 of criterion 3.
     P = metaplectic_sl2(StateSpace(1, N), SL2_BY_B[1])
-    cross = _parity_split(P)[3]
+    cross = _parity_split(*_parity_kernel(P))[3]
     pp = period_phase(P, period)
     phi, defect = _matrix_power_phase(P, period)
     assert abs(np.angle(np.exp(1j * (pp.phi - phi)))) <= 1e-13
@@ -260,6 +260,43 @@ def test_parity_oracles_memory_at_most_unsplit():
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2 ** 20
+
+
+# egorov_defect(P, 1) at window 1 when it also built P.dense for its
+# row gathers: CAT, then [[5,2],[2,1]], at N = 34, 144, 204, 610
+EGOROV_BEFORE_ONE_BUILD = {
+    0: [1.159106867033638e-15, 1.5353625799562712e-15,
+        1.1433814963738287e-15, 1.577923392343183e-15],
+    1: [2.847072255032227e-15, 4.332705848307551e-15,
+        4.052245346248142e-15, 6.763492429438743e-15]}
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_egorov_defect_builds_the_kernel_once(b):
+    # U M is gathered from the parity-ordered matrix, so the kernel is
+    # evaluated once per call and no identity-order P.dense is built;
+    # columns in parity order leave the max as it was
+    for N, before in zip((34, 144, 204, 610), EGOROV_BEFORE_ONE_BUILD[b]):
+        P = metaplectic_sl2(StateSpace(1, N), SL2_BY_B[b])
+        kernel, calls = P._kernel, []
+        P._kernel = lambda idx: calls.append(len(idx)) or kernel(idx)
+        assert abs(egorov_defect(P, 1) - before) <= 1e-15
+        assert calls == [N] and P._dense is None
+        egorov_defect(P, 0)
+        assert calls == [N, N]
+
+
+def test_egorov_defect_memory_at_one_build():
+    # 22.9 MiB at CAT N = 610 with both builds and a separate |diff|
+    # buffer; 20.0 MiB measured with one build
+    P = metaplectic_sl2(StateSpace(1, 610), CAT)
+    tracemalloc.start()
+    try:
+        egorov_defect(P, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2 ** 20
 
 
 def test_egorov_defect_forms_one_product_per_pm_pair(monkeypatch):

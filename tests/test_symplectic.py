@@ -1,10 +1,13 @@
+from itertools import product
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catlab import (SymplecticMatrix, admissible_N, char_poly, is_symplectic,
                     phi_A, quantum_period)
-from catlab.symplectic import form_matrix
+from catlab.symplectic import _Q, _sigma, form_matrix
 
 CAT = [[2, 1], [1, 1]]
 BLOCK = [[0, 0, 2, 1], [0, 0, 1, 1], [-2, -1, 0, 0], [-1, -1, 0, 0]]
@@ -59,11 +62,39 @@ def test_char_poly_examples():
     assert char_poly(blk.power(2)).coeffs == (1, 14, 51, 14, 1)  # (x^2+7x+1)^2
 
 
+def _phi_by_search(A):
+    """Every phi in {0,1}^{2n} meeting the identity on all w in {0,1}^{2n}."""
+    dim = 2 * A.n
+    Ainv = A.inverse()
+    tests = list(product((0, 1), repeat=dim))
+    targets = [(_Q(Ainv.apply(w)) - _Q(w)) % 2 for w in tests]
+    return [phi for phi in product((0, 1), repeat=dim)
+            if all(_sigma(phi, w) % 2 == t for w, t in zip(tests, targets))]
+
+
 def test_parity_vector_identity_and_uniqueness():
     assert phi_A(SymplecticMatrix([[1, 0], [0, 1]])) == (0, 0)
     # brute-force oracle values for the two standard examples
     assert phi_A(SymplecticMatrix(CAT)) == (0, 1)
     assert phi_A(SymplecticMatrix([[1, 1], [0, 1]])) == (1, 0)
+
+
+def test_parity_vector_matches_search():
+    from catlab import sample_sp
+    for n in (1, 2, 3):
+        for A in sample_sp(n, 12, 20, seed=n):
+            assert [phi_A(A)] == _phi_by_search(A)
+    assert [phi_A(SymplecticMatrix(BLOCK))] == _phi_by_search(
+        SymplecticMatrix(BLOCK))
+
+
+def test_parity_vector_refuses_a_nonlinear_target(monkeypatch):
+    # with B = [[1, 0], [0, 0]] in place of A^{-1}, Q(B w) - Q(w) is
+    # w_0 w_1 mod 2, which no sigma(phi, .) is
+    monkeypatch.setattr(SymplecticMatrix, "inverse",
+                        lambda self: SimpleNamespace(entries=((1, 0), (0, 0))))
+    with pytest.raises(AssertionError, match="no parity vector"):
+        phi_A(SymplecticMatrix(CAT))
 
 
 def test_quantum_period_examples():
