@@ -12,13 +12,14 @@ SRC is a checkout of this repository (its package is SRC/src/catlab);
 the command lines always come from the README next to this script, so
 two checkouts run the same examples.  With REF (the OUT of an earlier
 run), every artifact is compared byte for byte with its namesake in
-REF.  For a CSV, JSON or PGM that differs, the largest absolute
-difference of each numeric field is printed (a PGM's `original max`,
-and its pixels in levels), next to the same difference relative to the
-field's largest magnitude in REF; for a CSV, so is the number of rows
-that differ.  Any other difference (a missing or extra
-file, a changed header, key or string, a PGM's magic or geometry, or a
-non-finite difference) is reported as non-numeric.  Exits 1 when any
+REF, and the summary counts the byte-identical ones.  For a CSV, JSON
+or PGM that differs, the largest absolute difference of each numeric
+field is printed (a PGM's `original max`, and its pixels in levels),
+next to the same difference relative to the field's largest magnitude
+in REF; for a CSV, so is the number of rows that differ.  Any other
+difference (a missing or extra file, a changed header, key or string, a
+PGM's magic or geometry, or a non-finite difference) is reported as
+non-numeric.  Exits 1 when any
 example exits nonzero, the README has none, or a non-numeric difference
 is found.  The byte-identity check of a change is then
 
@@ -101,7 +102,7 @@ def _numeric_diff(a, b):
 def compare(out, ref):
     """Prints how OUT differs from REF; returns True when only numbers do."""
     names = sorted(set(os.listdir(out)) | set(os.listdir(ref)))
-    ok = True
+    ok, identical = True, 0
     for name in names:
         new, old = os.path.join(out, name), os.path.join(ref, name)
         if not (os.path.isfile(new) and os.path.isfile(old)):
@@ -111,6 +112,7 @@ def compare(out, ref):
             continue
         with open(new, "rb") as f, open(old, "rb") as g:
             if f.read() == g.read():
+                identical += 1
                 continue
         fields, scale, other = {}, {}, set()
         if not name.endswith((".csv", ".json", ".pgm")):
@@ -144,8 +146,8 @@ def compare(out, ref):
         for what in sorted(other):
             print("  non-numeric difference: %s" % what)
         ok = ok and not other
-    print("%d artifacts compared, %s" % (
-        len(names), "no non-numeric difference" if ok
+    print("%d artifacts compared, %d byte-identical, %s" % (
+        len(names), identical, "no non-numeric difference" if ok
         else "non-numeric differences found"))
     return ok
 

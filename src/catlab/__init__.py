@@ -6,8 +6,8 @@ certification of symplectic matrices, and uncertainty-principle numerics.
 
 from .symplectic import (SymplecticMatrix, CharPoly, is_symplectic,
                          char_poly, phi_A, quantum_period, admissible_N)
-from .hilbert import (StateSpace, QuantumState, TrigObservable,
-                      weyl_quantize, project_gaussian, position_density)
+from .hilbert import (StateSpace, QuantumState, project_gaussian,
+                      position_density)
 from .metaplectic import (Propagator, PeriodPhase, metaplectic_sl2,
                           metaplectic_adjoint,
                           rotation_propagator, tensor_propagator,

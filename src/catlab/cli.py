@@ -146,10 +146,9 @@ def cmd_periods(args):
 
 def cmd_scar_build(args):
     scar = scars.build_scar(parse_matrix(args.matrix), args.k)
-    norm2 = scar.norm_squared()
+    norm2, s1 = scar.norm_squared(), scars.S1(scar.lam)
     report = {"N": scar.N, "P": scar.P, "phi": scar.phi, "lambda": scar.lam,
-              "norm2": norm2, "S1": scars.S1(scar.lam),
-              "norm2_error": abs(norm2 - scars.S1(scar.lam))}
+              "norm2": norm2, "S1": s1, "norm2_error": abs(norm2 - s1)}
     if scar.N ** 2 <= scars.MATERIALIZE_LIMIT:
         MM = metaplectic.tensor_propagator(hilbert.StateSpace(2, scar.N),
                                            scar.M, scar.M)
@@ -163,8 +162,8 @@ def cmd_scar_scan(args):
     write_csv(_out_path(args, "csv"),
               ["j1", "j2", "k1", "k2", "ratio_re", "ratio_im", "target",
                "error"],
-              [(j1, j2, k1, k2, r.real, r.imag, t, e)
-               for j1, j2, k1, k2, r, t, e in rows])
+              ((j1, j2, k1, k2, r.real, r.imag, t, e)
+               for j1, j2, k1, k2, r, t, e in rows))
 
 
 def cmd_scar_density(args):

@@ -8,7 +8,6 @@ norm-decay experiments fit log-log slopes across grid sizes.
 """
 
 from dataclasses import dataclass
-import itertools
 import math
 
 import numpy as np
@@ -129,35 +128,6 @@ def _hits(mask, stencils):
     return out
 
 
-def _meets_grid(M, stencils):
-    """
-    _hits(np.ones(...), stencils) > 0 from the stencil offsets alone:
-    whether the window of stencil k at centre c in [0, M]^d holds a grid
-    cell, one with 0 <= c + v < M, a box of offsets v.  Every stencil holds
-    offset 0, so only a centre on a face c_i = M can miss.  On that face
-    the box takes v_i < 0 in full: the stencils are summed along axis i,
-    and the box over the other axes is summed from the summed-area table
-    of the rest by inclusion-exclusion of its corners.
-    """
-    d, r = stencils.ndim - 1, stencils.shape[0] // 2
-    c = np.arange(M + 1)
-    lo = np.maximum(-c, -r) + r  # the box [lo, hi) in stencil rows v + r
-    hi = np.maximum(np.minimum(M - c, r + 1) + r, lo)
-    meets = np.ones((M + 1,) * d + stencils.shape[-1:], dtype=bool)
-    for i in range(d):
-        rows = stencils[(slice(None),) * i + (slice(lo[M], hi[M]),)]
-        table = np.pad(rows.sum(axis=i, dtype=np.int32),
-                       [(1, 0)] * (d - 1) + [(0, 0)])
-        for axis in range(d - 1):
-            table = table.cumsum(axis, dtype=np.int32)
-        count = 0
-        for corner in itertools.product((lo, hi), repeat=d - 1):
-            sign = (-1) ** sum(b is lo for b in corner)
-            count = count + sign * table[np.ix_(*corner)]
-        meets[(slice(None),) * i + (M,)] = count > 0
-    return meets
-
-
 def neighborhood(X, delta):
     """Minkowski dilation by a Euclidean ball of radius delta."""
     if delta < 0:
@@ -215,8 +185,14 @@ def porosity_check(X, nu, alpha0, alpha1, mode="balls"):
         free = _hits(mask, near)[(slice(M),) * d + (0,)] == 0  # dist >= need
         stencils = (_segments(r) if mode == "lines"
                     else (_norm2(r, d) <= r * r)[..., None])
-        # a window fails when it has in-grid cells but no free one
-        fail = (_hits(free, stencils) == 0) & _meets_grid(M, stencils)
+        # a window fails when it has in-grid cells but no free one; every
+        # sampled centre is a grid cell, so its window meets the grid,
+        # except the corner (M, ..., M) at r = M, whose window meets it
+        # iff the stencil has a cell with every offset v_i < 0
+        fail = _hits(free, stencils) == 0
+        if r == M:
+            fail[(M,) * d] &= stencils[(slice(0, r),) * d].any(
+                axis=tuple(range(d)))
         centers = np.arange(r, max(r + 1, M - r), max(1, r // 2))
         hit = np.argwhere(fail[np.ix_(*[centers] * d)])
         if len(hit):

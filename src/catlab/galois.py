@@ -38,6 +38,12 @@ def primes_upto(bound):
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
+@functools.cache
+def _odd_primes(bound):
+    """The odd primes up to bound, sieved once per bound."""
+    return tuple(primes_upto(bound)[1:])
+
+
 def _is_odd_prime(ell):
     return ell > 2 and ell % 2 == 1 and all(
         ell % d for d in range(3, math.isqrt(ell) + 1, 2))
@@ -298,9 +304,7 @@ def certify_wreath(coeffs, prime_bound=200):
     g = _trace_poly(coeffs)
     witnesses = {}
     scanned = []
-    for ell in primes_upto(prime_bound):
-        if ell == 2:
-            continue
+    for ell in _odd_primes(prime_bound):
         scanned.append(ell)
         cls = _reciprocal_class(g, ell)
         if cls is not None and cls not in witnesses:
@@ -374,12 +378,13 @@ def reciprocal_census(ell, n):
     F_ell, classifying each; returns {"total": ell^n, "classes": {2k:
     {"count", "main_term", "abs_error"}}, "other": remainder}.
 
-    The polynomials are classified in blocks of at most
-    _CENSUS_BLOCK_ENTRIES // ell (at least one), each block's free
-    coefficients the mixed-radix digits of an index range.  The trace
-    polynomial g = T f is linear in the coefficients f, with the columns
-    of T from _trace_poly on unit vectors; _census_classes decides each
-    block, and _reciprocal_class is its row-by-row oracle.
+    The map f -> g = _trace_poly(f) is unitriangular over Z: g is monic
+    and its y^(n-k) coefficient is a_k plus a combination of a_0..a_(k-1).
+    So it permutes the monic g over F_ell, and the census enumerates
+    those directly, in blocks of at most _CENSUS_BLOCK_ENTRIES // ell (at
+    least one) whose free coefficients are the mixed-radix digits of an
+    index range.  _census_classes decides each block, and
+    _reciprocal_class is its row-by-row oracle.
     """
     if not _is_odd_prime(ell):
         raise ValueError("ell must be an odd prime")
@@ -388,15 +393,14 @@ def reciprocal_census(ell, n):
     if ell ** n > 10 ** 7:
         raise ValueError("census guard exceeded (ell^n > 1e7)")
     total = ell ** n
-    # g of [1, a_1, ..., a_n, ...] is T[:, 0] + sum_i a_i T[:, i]
-    T = np.array([_trace_poly([int(i == j) for j in range(n + 1)] + [0] * n)
-                  for i in range(n + 1)]).T % ell
     radix = ell ** np.arange(n - 1, -1, -1)
     counts = np.zeros(n + 1, dtype=np.int64)
     rows = max(1, _CENSUS_BLOCK_ENTRIES // ell)
     for lo in range(0, total, rows):
-        free = np.arange(lo, min(lo + rows, total))[:, None] // radix % ell
-        G = (free @ T[:, 1:].T + T[:, 0]) % ell
+        index = np.arange(lo, min(lo + rows, total))
+        G = np.empty((len(index), n + 1), dtype=np.int64)
+        G[:, 0] = 1
+        G[:, 1:] = index[:, None] // radix % ell
         counts += _census_classes(G, ell)
     classes = {}
     for k in range(1, n + 1):
@@ -414,8 +418,9 @@ def reciprocal_census(ell, n):
 def power_scan(A, m_max, prime_bound=200):
     """
     For m = 1..m_max: certify char(A^m) irreducible via a 2n-cycle
-    witness, or reducible via an exact integer factorization; k0 is the
-    least certified-reducible m (None when undetermined beyond m_max).
+    witness, or reducible via an exact integer factorization, both from
+    certify_wreath; k0 is the least certified-reducible m (None when
+    undetermined beyond m_max).
     """
     from .symplectic import SymplecticMatrix, char_poly
     if m_max < 1:
@@ -425,24 +430,21 @@ def power_scan(A, m_max, prime_bound=200):
     results = []
     k0 = None
     Am = A
-    odd_primes = primes_upto(prime_bound)[1:]
     for m in range(1, m_max + 1):
-        coeffs = list(char_poly(Am).coeffs)
-        g = _trace_poly(coeffs)
-        witness = next((ell for ell in odd_primes
-                        if _reciprocal_class(g, ell) == len(coeffs) - 1),
-                       None)
-        zfac = None if witness else _integer_factorization(coeffs)
-        if zfac is not None:
+        if m > 1:
+            Am = Am @ A
+        coeffs = tuple(char_poly(Am).coeffs)
+        cert = certify_wreath(coeffs, prime_bound)
+        if cert.verdict == "contradicted":
             if k0 is None:
                 k0 = m
-            results.append({"m": m, "coeffs": tuple(coeffs),
-                            "verdict": "reducible", "factorization": zfac})
+            results.append({"m": m, "coeffs": coeffs, "verdict": "reducible",
+                            "factorization": cert.factorization})
         else:
-            verdict = "irreducible" if witness else "undetermined"
-            results.append({"m": m, "coeffs": tuple(coeffs),
-                            "verdict": verdict, "witness": witness})
-        Am = Am @ A
+            witness = cert.witnesses.get(len(coeffs) - 1, (None,))[0]
+            results.append({"m": m, "coeffs": coeffs, "verdict":
+                            "irreducible" if witness else "undetermined",
+                            "witness": witness})
     return {"per_m": results, "k0": k0}
 
 

@@ -128,48 +128,6 @@ class LatticeTranslation:
         return _dense_matrix(self.apply_array, self.space.dim, "translation")
 
 
-@dataclass(frozen=True)
-class TrigObservable:
-    """a(z) = sum_j c_j exp(2 pi i sigma(j, z)), finitely many terms."""
-
-    terms: tuple  # ((j tuple, complex coefficient), ...)
-
-    @staticmethod
-    def from_dict(d):
-        return TrigObservable(tuple(sorted(
-            (tuple(int(v) for v in j), complex(c)) for j, c in d.items())))
-
-
-class QuantizedObservable:
-    """Op(a) = sum_j c_j U_{j/N}; streamed, with a lazy dense matrix."""
-
-    def __init__(self, space, observable):
-        self.space = space
-        self.observable = observable
-        self._translations = [(LatticeTranslation(space, j), c)
-                              for j, c in observable.terms]
-        self._dense = None
-
-    def apply_array(self, c):
-        """Apply to coefficients of shape (..., N^n); leading axes batch."""
-        c = np.asarray(c, dtype=np.complex128)
-        out = np.zeros(c.shape, dtype=np.complex128)
-        for U, coef in self._translations:
-            out += coef * U.apply_array(c)
-        return out
-
-    @property
-    def dense(self):
-        if self._dense is None:
-            self._dense = _dense_matrix(self.apply_array, self.space.dim,
-                                        "observable")
-        return self._dense
-
-
-def weyl_quantize(space, observable):
-    return QuantizedObservable(space, observable)
-
-
 def project_gaussian(space):
     """
     The projected Gaussian G_N: coefficients

@@ -536,7 +536,6 @@ class ScarEnsemble:
         # s of the orbit state in row i of V
         self.wperm = (np.arange(P) + P // 2) % P
         self._dmats = {(0, 0): D0}
-        self._wdmats = {}
 
     @functools.cached_property
     def M(self):
@@ -647,18 +646,11 @@ class ScarEnsemble:
                 self._dmats[m] = D
         return [self._dmats[m] for m in keys]
 
-    def _wdmat(self, k):
-        """D_k with rows and columns in w order, cached by k mod 2N."""
-        m = _lattice_residue(k, self.N)
-        if m not in self._wdmats:
-            D = self._dmats_of([k])[0]
-            self._wdmats[m] = D[self.wperm][:, self.wperm]
-        return self._wdmats[m]
-
     def matrix_element(self, j, k):
         """<(U_{j/N} (x) U_{k/N}) u, u> without forming the N^2 tensor."""
-        Dj = self._dmats_of([j, k])[0]
-        return complex((Dj * self._wdmat(k)).sum() / self.P)
+        Dj, Dk = self._dmats_of([j, k])
+        w = self.wperm
+        return complex((Dj * Dk[w][:, w]).sum() / self.P)
 
     def norm_squared(self):
         return self.matrix_element((0, 0), (0, 0)).real
@@ -717,8 +709,9 @@ def semiclassical_scan(scar, window):
     all (2 window + 1)^4 of them from one product of the stacked D_j with
     the stacked D_k in wperm order.  Raises ValueError for window < 0,
     and before any Gram is built when the rows at _SCAN_ROW_BYTES each,
-    plus the D_j and D_k (stacked and cached, four P x P per lattice
-    point), would exceed SCAR_MAX_BYTES.
+    plus the D_j (cached and stacked) and the D_k (permuted from the
+    stack, with one temporary), four P x P per lattice point, would
+    exceed SCAR_MAX_BYTES.
     """
     if window < 0:
         raise ValueError("semiclassical_scan needs window >= 0")
@@ -730,7 +723,8 @@ def semiclassical_scan(scar, window):
                          % (window, points ** 2, need, SCAR_MAX_BYTES))
     lattice = list(itertools.product(range(-window, window + 1), repeat=2))
     Dj = np.array(scar._dmats_of(lattice))  # the whole window in one pass
-    Dk = np.array([scar._wdmat(k) for k in lattice])
+    w = scar.wperm
+    Dk = Dj[:, w][:, :, w]  # k runs over the same lattice as j
     ratios = (np.tensordot(Dj, Dk, axes=([1, 2], [1, 2]))
               / (scar.P * scar.norm_squared()))
     rows = []

@@ -209,6 +209,16 @@ def test_porosity_check_matches_reference_sweep():
                       float(rng.uniform(0.05, 0.6)),
                       float(rng.uniform(0.02, 0.3)),
                       "lines" if d == 2 and i % 4 == 1 else "balls"))
+    # alpha0 = 2^-i reaches R = 1, r = M, where the one sampled centre is
+    # the corner (M, ..., M)
+    rng = np.random.default_rng(1)
+    for alpha0 in (1 / 4, 1 / 2, 1.0):
+        for i in range(12):
+            d = 1 + i % 2
+            M = int(rng.integers(2, 30 if d == 1 else 12))
+            cases.append((_random_set(rng, M, d, rng.uniform(0.02, 0.5)),
+                          float(rng.uniform(0.05, 0.6)), alpha0,
+                          "lines" if i % 4 == 1 else "balls"))
     verdicts = set()
     for X, nu, alpha0, mode in cases:
         got = porosity_check(X, nu, alpha0, 1.0, mode=mode)
@@ -230,27 +240,36 @@ def test_lines_counterexample_skips_segments_off_the_grid():
     assert ce["direction"] == (math.cos(math.pi / 16), math.sin(math.pi / 16))
 
 
-def test_grid_meets_mask_matches_fft_count():
-    # The window-meets-grid mask from the stencil offsets equals the FFT
-    # count of the all-ones mask at every centre in [0, M]^d, at every
-    # scale r = 2^i of the CLI's default sweep.  Windows at a centre with a
-    # coordinate M miss the grid for small balls in d = 2 and for lines.
+def test_sampled_windows_meet_the_grid_but_at_the_corner():
+    # porosity_check reads the window-meets-grid count only at its sampled
+    # centres: every one is a grid cell, whose window holds offset 0, but
+    # the corner (M, ..., M) at r = M, whose window meets the grid iff the
+    # stencil has a cell with every offset v_i < 0.  Checked against the
+    # FFT count of the all-ones mask at every scale r = 2^i of the CLI's
+    # default sweep and at r = M; lines miss at the corner.
     missed = set()
     for depth in (3, 4, 5):
         M = 3 ** depth
-        for r in [2 ** i for i in range(M.bit_length())]:
+        for r in [2 ** i for i in range(M.bit_length())] + [M]:
+            centers = np.arange(r, max(r + 1, M - r), max(1, r // 2))
             for kind, stencils in [
                     ("balls d=1", (fup._norm2(r, 1) <= r * r)[..., None]),
                     ("balls d=2", (fup._norm2(r, 2) <= r * r)[..., None]),
                     ("lines", fup._segments(r))]:
-                ones = np.ones((M,) * (stencils.ndim - 1), dtype=bool)
-                want = fup._hits(ones, stencils) > 0
-                got = fup._meets_grid(M, stencils)
-                assert got.shape == want.shape, (depth, r, kind)
-                assert np.array_equal(got, want), (depth, r, kind)
-                if not want.all():
+                d = stencils.ndim - 1
+                ones = np.ones((M,) * d, dtype=bool)
+                meets = fup._hits(ones, stencils) > 0
+                if r < M:
+                    assert centers.max() < M, (depth, r)
+                    assert meets[np.ix_(*[centers] * d)].all(), \
+                        (depth, r, kind)
+                    continue
+                assert centers.tolist() == [M]
+                corner = stencils[(slice(0, r),) * d].any(axis=tuple(range(d)))
+                assert np.array_equal(meets[(M,) * d], corner), (depth, kind)
+                if not corner.all():
                     missed.add(kind)
-    assert missed == {"balls d=2", "lines"}
+    assert missed == {"lines"}
 
 
 def test_stencil_counts_refuse_inexact_fft(monkeypatch):

@@ -15,8 +15,8 @@ from catlab import (CycleType, SymplecticMatrix, certify_wreath, char_poly,
                     factor_type, power_scan, reciprocal_census, sample_sp,
                     sl2_census)
 import catlab.galois
-from catlab.galois import (_reciprocal_class, _trace_poly, primes_upto,
-                           required_classes)
+from catlab.galois import (_integer_factorization, _reciprocal_class,
+                           _trace_poly, primes_upto, required_classes)
 
 ODD_PRIMES = primes_upto(200)[1:]
 
@@ -248,6 +248,42 @@ def test_power_scan_block_rotation_pair():
     m2 = next(r for r in out["per_m"] if r["m"] == 2)
     assert m2["coeffs"] == (1, 14, 51, 14, 1)
     assert tuple(sorted(m2["factorization"])) == ((1, 7, 1), (1, 7, 1))
+
+
+def _power_scan_per_prime(A, m_max):
+    """power_scan's own search: the first odd prime witnessing a 2n-cycle,
+    else an integer factorization."""
+    A, results, k0 = SymplecticMatrix(A), [], None
+    Am = A
+    for m in range(1, m_max + 1):
+        coeffs = list(char_poly(Am).coeffs)
+        g = _trace_poly(coeffs)
+        witness = next((ell for ell in ODD_PRIMES
+                        if _reciprocal_class(g, ell) == len(coeffs) - 1),
+                       None)
+        zfac = None if witness else _integer_factorization(coeffs)
+        if zfac is not None:
+            k0 = m if k0 is None else k0
+            results.append({"m": m, "coeffs": tuple(coeffs),
+                            "verdict": "reducible", "factorization": zfac})
+        else:
+            results.append({"m": m, "coeffs": tuple(coeffs), "verdict":
+                            "irreducible" if witness else "undetermined",
+                            "witness": witness})
+        Am = Am @ A
+    return {"per_m": results, "k0": k0}
+
+
+def test_power_scan_matches_a_per_prime_witness_search():
+    # certify_wreath records each class at its first prime and scans on
+    # until 2n has one, so its 2n witness is the first prime's
+    words = [BLOCK_PAIR] + [m.entries for m in sample_sp(2, 4, 20, seed=1)]
+    verdicts = set()
+    for A in words:
+        got = power_scan(A, 5)
+        assert got == _power_scan_per_prime(A, 5), A
+        verdicts |= {r["verdict"] for r in got["per_m"]}
+    assert verdicts == {"irreducible", "reducible", "undetermined"}
 
 
 def test_degenerate_arguments_raise():

@@ -1,12 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catlab import (TrigObservable, position_density, project_gaussian,
-                    weyl_quantize)
+from catlab import position_density, project_gaussian
 from catlab.hilbert import (LatticeTranslation, QuantumState, StateSpace,
                             _lattice_residue)
 from catlab.symplectic import _sigma
@@ -113,48 +111,6 @@ def test_translation_reduces_m_mod_2N():
     s = _sigma(m1, m2)
     assert np.abs(U1 @ U2 - np.exp(1j * np.pi * (s % (2 * N)) / N)
                   * U12).max() < 1e-12
-
-
-def test_weyl_quantize_identity_adjoint_and_norm():
-    one = TrigObservable.from_dict({(0, 0): 1.0})
-    op = weyl_quantize(SP, one)
-    assert np.abs(op.dense - np.eye(34)).max() < 1e-14
-    # real observable -> self-adjoint operator
-    a = TrigObservable.from_dict({(1, 2): 0.5 - 0.25j, (-1, -2): 0.5 + 0.25j,
-                                  (0, 0): 1.0})
-    op = weyl_quantize(SP, a)
-    assert np.abs(op.dense - op.dense.conj().T).max() < 1e-12
-    coeff_sum = sum(abs(c) for _, c in a.terms)
-    assert np.linalg.norm(op.dense, 2) <= coeff_sum + 1e-12
-
-
-def test_weyl_quantize_dense_is_lazy():
-    a = TrigObservable.from_dict({(1, 2, 0, 1): 0.5, (0, 0, -3, 1): 2j,
-                                  (0, 0, 0, 0): 1.0})
-    sp = StateSpace(2, 40)  # a 1600 x 1600 matrix, 41 MB
-    tracemalloc.start()
-    try:
-        op = weyl_quantize(sp, a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-    expect = np.zeros((sp.dim, sp.dim), dtype=np.complex128)
-    for j, c in a.terms:
-        expect += c * LatticeTranslation(sp, j).dense()
-    assert np.array_equal(op.dense, expect)
-    assert op.dense is op.dense
-    with pytest.raises(ValueError):
-        weyl_quantize(StateSpace(2, 65), a).dense  # dim 4225 > DENSE_LIMIT
-
-
-def test_weyl_quantize_linear():
-    a = TrigObservable.from_dict({(1, 0): 2.0})
-    b = TrigObservable.from_dict({(0, 1): -1.5j})
-    ab = TrigObservable.from_dict({(1, 0): 2.0, (0, 1): -1.5j})
-    lhs = weyl_quantize(SP, ab).dense
-    rhs = weyl_quantize(SP, a).dense + weyl_quantize(SP, b).dense
-    assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_projected_gaussian_shape():

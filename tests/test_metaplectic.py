@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import catlab.metaplectic
-from catlab import (SymplecticMatrix, TrigObservable, egorov_defect,
-                    metaplectic_adjoint, metaplectic_sl2, period_phase,
-                    rotation_propagator, tensor_propagator, weyl_quantize)
+from catlab import (SymplecticMatrix, egorov_defect, metaplectic_adjoint,
+                    metaplectic_sl2, period_phase, rotation_propagator,
+                    tensor_propagator)
 from catlab.hilbert import LatticeTranslation, StateSpace, _dense_matrix
 from catlab.metaplectic import (Propagator, _chirp, _matrix_power,
                                 _parity_kernel, _parity_order, _parity_split,
@@ -44,10 +44,7 @@ def _batch_cases():
               ("translation n=1",
                LatticeTranslation(SP34, (3, -5)).apply_array, 34),
               ("translation n=2",
-               LatticeTranslation(sp2, (1, -2, 3, 4)).apply_array, 100),
-              ("observable", weyl_quantize(sp2, TrigObservable.from_dict(
-                  {(1, -2, 3, 4): 0.5, (0, 1, 0, 0): -2j})).apply_array,
-               100)]
+               LatticeTranslation(sp2, (1, -2, 3, 4)).apply_array, 100)]
     return cases
 
 

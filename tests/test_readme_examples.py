@@ -39,10 +39,13 @@ def test_compare_reports_rows_and_relative_differences(tmp_path, capsys):
     for d, last in [(new, "3.0000000000000004"), (ref, "3")]:
         d.mkdir()
         (d / "a.csv").write_text("j,v\n0,1.5\n1,-4\n2,%s\n" % last)
+        (d / "b.json").write_text('{"v": 2}\n')
     assert _script().compare(str(new), str(ref))
     out = capsys.readouterr().out
     assert "1 of 3 rows differ" in out
     assert "v: max |diff| = 4.44e-16, 1.11e-16 relative" in out
+    assert ("2 artifacts compared, 1 byte-identical, no non-numeric "
+            "difference") in out
 
 
 def test_readme_examples_are_byte_identical_across_runs(tmp_path):
